@@ -4,9 +4,12 @@
 Runs a workload binary with the zero-friction env activation
 (TLE_STATS_DUMP=<file> TLE_TRACE=1 TLE_TRACE_OUT=<file>) and validates that:
 
-  * the tle-obs/v1 JSON parses, carries every TLE_TXSTATS_COUNTERS counter
-    by name, a per-cause abort breakdown keyed by the AbortCause names, and
+  * the tle-obs/v1 JSON parses, carries every TLE_COUNTERS counter by name,
+    a per-cause abort breakdown keyed by the AbortCause names, and
     well-formed per-site profiles with log2 histograms;
+  * the counters are conserved: every site's attempts equal its commits
+    plus aborts, and the sites' attempts, commits, serial commits and
+    per-cause aborts sum to the process-wide totals;
   * the Chrome-trace JSON parses and contains thread-name metadata plus at
     least one complete ("X") slice, i.e. Perfetto/chrome://tracing will
     render a non-empty timeline.
@@ -20,9 +23,10 @@ import subprocess
 import sys
 import tempfile
 
-# Must mirror TLE_TXSTATS_COUNTERS in src/tm/stats.hpp. The obs_test unit
-# suite proves obs_json() covers the X-macro; this list pins the external
-# schema so a renamed counter is caught as the compatibility break it is.
+# Counters of TLE_COUNTERS in src/tm/stats.hpp. The obs_test unit suite
+# proves obs_json() covers the table; this list pins the external schema so
+# a renamed counter is caught as the compatibility break it is (a new counter
+# needs no entry here).
 REQUIRED_COUNTERS = [
     "txn_starts", "commits", "commits_readonly", "serial_fallbacks",
     "serial_commits", "lock_sections", "quiesce_calls", "quiesce_waits",
@@ -84,6 +88,29 @@ def check_hist(hist, where):
                   f"{where}: empty buckets must be omitted, got {pair!r}")
 
 
+def check_conservation(stats, sites):
+    """count() bumps a site row together with the thread row, so every
+    attempt ends as one commit or abort and the sites sum to the totals."""
+    for s in sites:
+        check(s.get("attempts") == s.get("commits", 0)
+              + s.get("aborts_total", 0),
+              f"site {s.get('name', '?')!r}: attempts {s.get('attempts')} != "
+              f"commits {s.get('commits')} + aborts {s.get('aborts_total')}")
+    pairs = [("attempts", "txn_starts"), ("commits", "commits"),
+             ("serial_commits", "serial_commits")]
+    for site_key, stats_key in pairs:
+        total = sum(s.get(site_key, 0) for s in sites)
+        check(total == stats.get(stats_key),
+              f"sites' {site_key} sum to {total}, stats.{stats_key} is "
+              f"{stats.get(stats_key)}")
+    aborts = stats.get("aborts", {})
+    for cause in ABORT_CAUSES:
+        total = sum(s.get("aborts", {}).get(cause, 0) for s in sites)
+        check(total == aborts.get(cause),
+              f"sites' {cause} aborts sum to {total}, stats.aborts has "
+              f"{aborts.get(cause)}")
+
+
 def check_obs(path):
     with open(path) as f:
         doc = json.load(f)
@@ -120,6 +147,7 @@ def check_obs(path):
         check(isinstance(site_aborts, dict)
               and set(site_aborts) <= set(ABORT_CAUSES),
               f"{label} has unknown abort-cause keys: {site_aborts!r}")
+    check_conservation(stats, sites if isinstance(sites, list) else [])
     names = [s.get("name", "") for s in sites if isinstance(sites, list)]
     check(any(n.startswith("pipez/") for n in names) or len(names) > 1,
           f"expected named TLE_TX_SITE profiles, got {names!r}")

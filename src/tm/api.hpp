@@ -257,14 +257,6 @@ struct TxnAttrs {
 
 namespace detail {
 
-/// Speculation gave up (budget, policy, or watchdog): account the fallback.
-inline void note_serial_fallback(TxDesc& tx) noexcept {
-  tx.stats->bump(tx.stats->serial_fallbacks);
-  if (obs::profiling_enabled())
-    obs::site_counters(tx.slot_id, tx.site)
-        .serial_fallbacks.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Run `body` irrevocably under the serial token.
 template <typename F>
 void run_serial(TxDesc& tx, F&& body) {
@@ -335,7 +327,7 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
     }
     if (cfg.governor && !gov::admit(tx)) {
       // Starved at the storm gate: the watchdog escalated us to serial.
-      note_serial_fallback(tx);
+      count(tx, Ctr::serial_fallbacks);
       tx.force_serial = true;
       continue;
     }
@@ -374,14 +366,11 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
     }
     if (serial) {
       tx.force_serial = true;
-      note_serial_fallback(tx);
+      count(tx, Ctr::serial_fallbacks);
     } else if (live_mode() == ExecMode::Htm) {
       // An HTM "retry" is an abort followed by another hardware attempt;
       // the abort that sends us serial is a fallback, not a retry.
-      tx.stats->bump(tx.stats->htm_retries);
-      if (obs::profiling_enabled())
-        obs::site_counters(tx.slot_id, tx.site)
-            .htm_retries.fetch_add(1, std::memory_order_relaxed);
+      count(tx, Ctr::htm_retries);
     }
   }
 }
@@ -526,18 +515,14 @@ void run_lock_section(elidable_mutex& m, F&& body, std::uint16_t site = 0) {
     --tx.depth;
     if (outermost) tx.in_lock_section = false;
   }
-  TxStats& s = *tx.stats;
-  s.bump(s.lock_sections);
-  if (obs::profiling_enabled())
-    obs::site_counters(tx.slot_id, tx.site)
-        .lock_sections.fetch_add(1, std::memory_order_relaxed);
+  count(tx, Ctr::lock_sections);
   while (tx.deferred.size() > mark) {
     // Run in FIFO order among this section's actions.
     std::size_t i = mark;
     auto fn = std::move(tx.deferred[i]);
     tx.deferred.erase(tx.deferred.begin() + static_cast<std::ptrdiff_t>(i));
     fn();
-    s.bump(s.deferred_run);
+    tx.stats->bump(tx.stats->deferred_run);
   }
 }
 

@@ -86,9 +86,7 @@ void on_unquiesced_commit(TxDesc& tx) noexcept {
   h.site = tx.site;
   // Per-site obs attribution: the ranked site table can then name the
   // TLE_TX_SITE whose unquiesced commits arm privatization hazards.
-  if (h.armed && (obs::flags() & obs::kProfileBit))
-    obs::site_counters(tx.slot_id, tx.site)
-        .audit_hazard_arms.fetch_add(1, std::memory_order_relaxed);
+  if (h.armed) count(tx, Ctr::audit_hazard_arms);
   std::lock_guard<std::mutex> g(g_report_mutex);
   ++g_report.unquiesced_commits;
 }

@@ -58,6 +58,21 @@ std::uint32_t obs_wset(const TxDesc& tx) noexcept {
       tx.algo, [&](auto p) { return decltype(p)::wset_size(tx); });
 }
 
+/// Close an attempt in the obs layer (for ob != 0): clear the in-flight
+/// stamp, add the attempt's duration to its site's histogram, and trace
+/// `ev`, with the read/write-set sizes when `sets`.
+void obs_attempt_end(TxDesc& tx, std::uint32_t ob, trace::Event ev,
+                     AbortCause cause, bool sets) {
+  const std::uint64_t dur = now_ns() - tx.obs_t0;
+  if (ob & obs::kMetricsBit)
+    tx.slot->txn_begin_ns.store(0, std::memory_order_relaxed);
+  if (ob & obs::kProfileBit)
+    obs::site_counters(tx.slot_id, tx.site).attempt_ns.add(dur);
+  if (ob & obs::kTraceBit)
+    trace::emit(ev, cause, tx.site, static_cast<std::uint16_t>(tx.attempts),
+                sets ? obs_rset(tx) : 0, sets ? obs_wset(tx) : 0, dur);
+}
+
 // ---------------------------------------------------------------------------
 // Epochs (quiescence substrate)
 // ---------------------------------------------------------------------------
@@ -150,12 +165,8 @@ void htm_stripe_revalidate(TxDesc& tx, unsigned s) {
     if (htm_stripe_seq(s).load(std::memory_order_acquire) != cur)
       continue;  // another commit landed mid-pass: re-run against it
     tx.hstripe_snap[s] = cur;
-    TxStats& stats = st(tx);
-    stats.bump(stats.stripe_false_revalidations);
     const std::uint32_t ob = obs::flags();
-    if (ob & obs::kProfileBit)
-      obs::site_counters(tx.slot_id, tx.site)
-          .stripe_false_revalidations.fetch_add(1, std::memory_order_relaxed);
+    count(tx, Ctr::stripe_false_revalidations, 1, ob);
     if (ob & obs::kTraceBit)
       trace::emit(trace::Event::StripeRevalidate, AbortCause::None, tx.site,
                   static_cast<std::uint16_t>(tx.attempts),
@@ -299,7 +310,6 @@ void htm_commit(TxDesc& tx) {
   // reproduces the paper's observed TSX failure statistics.
   const double p = config().htm_spurious_abort_rate;
   if (p > 0 && tx.backoff_rng.chance(p)) tx_abort(tx, AbortCause::Spurious);
-  TxStats& stats = st(tx);
   const std::uint32_t ob = obs::flags();
   if (tx.htm_lazy) {
     // Lazy subscription: the ONLY look at the fallback lock. A serial
@@ -315,7 +325,7 @@ void htm_commit(TxDesc& tx) {
   if (tx.hwrites.empty()) {
     // Read-only: every read left the subscribed stripes on one validated
     // consistent cut, so there is nothing to publish or re-check.
-    if (tx.htm_lazy) stats.bump(stats.lazy_sub_commits);
+    if (tx.htm_lazy) count(tx, Ctr::lazy_sub_commits, 1, ob);
     return;
   }
 
@@ -401,11 +411,8 @@ void htm_commit(TxDesc& tx) {
                                 std::memory_order_release);
   // Counted after the point of no return so stripe_bumps tallies published
   // commits only: stripe_bumps == stripes bumped visible to other readers.
-  stats.bump(stats.stripe_bumps, nw);
-  if (ob & obs::kProfileBit)
-    obs::site_counters(tx.slot_id, tx.site)
-        .stripe_bumps.fetch_add(nw, std::memory_order_relaxed);
-  if (tx.htm_lazy) stats.bump(stats.lazy_sub_commits);
+  count(tx, Ctr::stripe_bumps, nw, ob);
+  if (tx.htm_lazy) count(tx, Ctr::lazy_sub_commits, 1, ob);
 }
 
 }  // namespace
@@ -480,7 +487,7 @@ void epoch_scan(TxDesc& tx, bool domain_filter) {
       peer.parked.fetch_sub(1, std::memory_order_seq_cst);
     }
   }
-  s.bump(s.quiesce_waits);
+  count(tx, Ctr::quiesce_waits);
   if (spins) s.bump(s.quiesce_spins, spins);
   s.bump(s.quiesce_wait_ns, now_ns() - wait_start);
 }
@@ -574,7 +581,7 @@ void grace_sync(TxDesc& tx) {
     total_wait_ns += now_ns() - wait_start;
   }
   if (waited) {
-    s.bump(s.quiesce_waits);
+    count(tx, Ctr::quiesce_waits);
     if (total_spins) s.bump(s.quiesce_spins, total_spins);
     s.bump(s.quiesce_wait_ns, total_wait_ns);
   }
@@ -644,10 +651,6 @@ void quiesce_wait(TxDesc& tx, bool all_domains) {
   // obs layer is dark.
   const bool stall_chk = cfg.governor && cfg.watchdog_stall_ns != 0;
   const std::uint64_t t0 = (ob || stall_chk) ? now_ns() : 0;
-  const std::uint64_t waits_before =
-      ob & obs::kProfileBit
-          ? st(tx).quiesce_waits.load(std::memory_order_relaxed)
-          : 0;
   if (config().multi_domain && !all_domains) {
     // Ordering-only quiesce, filtered to the transaction's own domain
     // (ablation A3). Doesn't go through the grace machinery: tickets are
@@ -664,12 +667,8 @@ void quiesce_wait(TxDesc& tx, bool all_domains) {
         trace::emit(trace::Event::WatchdogEscalate, AbortCause::None, tx.site,
                     0, 0, 0, dur);
     }
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.quiesce_ns.add(dur);
-      if (st(tx).quiesce_waits.load(std::memory_order_relaxed) != waits_before)
-        sc.quiesce_waits.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (ob & obs::kProfileBit)
+      obs::site_counters(tx.slot_id, tx.site).quiesce_ns.add(dur);
     if (ob & obs::kTraceBit)
       trace::emit(trace::Event::Quiesce, AbortCause::None, tx.site, 0, 0, 0,
                   dur);
@@ -714,10 +713,7 @@ void tm_private_free(void* p) {
   if (htm_readers_possible()) {
     tx.frees.push_back(p);
     limbo_enqueue(tx);
-    s.bump(s.priv_limbo_routed);
-    if (obs::flags() & obs::kProfileBit)
-      obs::site_counters(tx.slot_id, tx.site)
-          .priv_limbo_routed.fetch_add(1, std::memory_order_relaxed);
+    count(tx, Ctr::priv_limbo_routed);
     limbo_drain(tx,
                 /*force=*/tx.limbo_pending > config().limbo_max_pending);
   } else {
@@ -738,20 +734,9 @@ namespace {
 /// is no engine state, epoch slot, or read-side registration to undo, so
 /// tx_abort's rollback sequence would corrupt state it never acquired.
 [[noreturn]] void tx_abort_at_begin(TxDesc& tx, AbortCause cause) {
-  st(tx).bump(st(tx).aborts[static_cast<int>(cause)]);
   const std::uint32_t ob = obs::flags();
-  if (ob) {
-    const std::uint64_t dur = now_ns() - tx.obs_t0;
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.aborts[static_cast<int>(cause)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-      sc.attempt_ns.add(dur);
-    }
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::Abort, cause, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts), 0, 0, dur);
-  }
+  count(tx, cause, ob);
+  if (ob) obs_attempt_end(tx, ob, trace::Event::Abort, cause, false);
   tx.depth = 0;
   tx.last_abort = cause;
   std::longjmp(tx.env, static_cast<int>(cause));
@@ -781,8 +766,9 @@ void tx_begin_speculative(TxDesc& tx) {
     // lemming effect: under a cause-blind policy these instant aborts burn
     // the whole retry budget against a lock that has not been released yet.
     if (!serial_lock().try_read_lock(*tx.slot)) {
-      st(tx).bump(st(tx).txn_starts);
-      if (obs::flags()) tx.obs_t0 = now_ns();
+      const std::uint32_t ob = obs::flags();
+      count(tx, Ctr::txn_starts, 1, ob);
+      if (ob) tx.obs_t0 = now_ns();
       tx_abort_at_begin(tx, AbortCause::SerialPending);
     }
     tx.sl_held = true;
@@ -791,15 +777,12 @@ void tx_begin_speculative(TxDesc& tx) {
     tx.sl_held = true;
   }
   epoch_enter(tx);
-  st(tx).bump(st(tx).txn_starts);
   const std::uint32_t ob = obs::flags();
+  count(tx, Ctr::txn_starts, 1, ob);
   if (ob) {
     tx.obs_t0 = now_ns();
     if (ob & obs::kMetricsBit)
       tx.slot->txn_begin_ns.store(tx.obs_t0, std::memory_order_relaxed);
-    if (ob & obs::kProfileBit)
-      obs::site_counters(tx.slot_id, tx.site)
-          .attempts.fetch_add(1, std::memory_order_relaxed);
     if (ob & obs::kTraceBit)
       trace::emit(trace::Event::Begin, AbortCause::None, tx.site,
                   static_cast<std::uint16_t>(tx.attempts));
@@ -828,22 +811,9 @@ void tx_commit_speculative(TxDesc& tx) {
     serial_lock().read_unlock(*tx.slot);
     tx.sl_held = false;
   }
-  st(tx).bump(st(tx).commits);
   const std::uint32_t ob = obs::flags();
-  if (ob) {
-    const std::uint64_t dur = now_ns() - tx.obs_t0;
-    if (ob & obs::kMetricsBit)
-      tx.slot->txn_begin_ns.store(0, std::memory_order_relaxed);
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.commits.fetch_add(1, std::memory_order_relaxed);
-      sc.attempt_ns.add(dur);
-    }
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::Commit, AbortCause::None, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts), obs_rset(tx),
-                  obs_wset(tx), dur);
-  }
+  count(tx, Ctr::commits, 1, ob);
+  if (ob) obs_attempt_end(tx, ob, trace::Event::Commit, AbortCause::None, true);
   if (tx.read_only) st(tx).bump(st(tx).commits_readonly);
   tx.depth = 0;
   tx.attempts = 0;
@@ -933,23 +903,9 @@ void tx_abort(TxDesc& tx, AbortCause cause) {
     serial_lock().read_unlock(*tx.slot);
     tx.sl_held = false;
   }
-  st(tx).bump(st(tx).aborts[static_cast<int>(cause)]);
   const std::uint32_t ob = obs::flags();
-  if (ob) {
-    const std::uint64_t dur = now_ns() - tx.obs_t0;
-    if (ob & obs::kMetricsBit)
-      tx.slot->txn_begin_ns.store(0, std::memory_order_relaxed);
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.aborts[static_cast<int>(cause)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-      sc.attempt_ns.add(dur);
-    }
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::Abort, cause, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts), obs_rset(tx),
-                  obs_wset(tx), dur);
-  }
+  count(tx, cause, ob);
+  if (ob) obs_attempt_end(tx, ob, trace::Event::Abort, cause, true);
   for (void* p : tx.allocs) ::operator delete(p);
   tx.clear_logs();
   tx.depth = 0;
@@ -967,23 +923,11 @@ void tx_rollback_for_exception(TxDesc& tx) {
     serial_lock().read_unlock(*tx.slot);
     tx.sl_held = false;
   }
-  st(tx).bump(st(tx).aborts[static_cast<int>(AbortCause::UserExplicit)]);
   const std::uint32_t ob = obs::flags();
-  if (ob) {
-    const std::uint64_t dur = now_ns() - tx.obs_t0;
-    if (ob & obs::kMetricsBit)
-      tx.slot->txn_begin_ns.store(0, std::memory_order_relaxed);
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.aborts[static_cast<int>(AbortCause::UserExplicit)].fetch_add(
-          1, std::memory_order_relaxed);
-      sc.attempt_ns.add(dur);
-    }
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::Abort, AbortCause::UserExplicit, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts), obs_rset(tx),
-                  obs_wset(tx), dur);
-  }
+  count(tx, AbortCause::UserExplicit, ob);
+  if (ob)
+    obs_attempt_end(tx, ob, trace::Event::Abort, AbortCause::UserExplicit,
+                    true);
   for (void* p : tx.allocs) ::operator delete(p);
   tx.clear_logs();
   tx.depth = 0;
@@ -1025,11 +969,7 @@ void tx_serial_exit(TxDesc& tx) {
   const bool htm_risk = htm_readers_possible();
   if (!tx.frees.empty()) {
     if (htm_risk) {
-      st(tx).bump(st(tx).htm_routed_frees, tx.frees.size());
-      if (obs::flags() & obs::kProfileBit)
-        obs::site_counters(tx.slot_id, tx.site)
-            .htm_routed_frees.fetch_add(tx.frees.size(),
-                                        std::memory_order_relaxed);
+      count(tx, Ctr::htm_routed_frees, tx.frees.size());
       limbo_enqueue(tx);
     } else {
       // No concurrent readers can exist: frees are immediate.
@@ -1049,21 +989,10 @@ void tx_serial_exit(TxDesc& tx) {
   }
   epoch_exit(tx);
   serial_lock().write_unlock(*tx.slot);
-  st(tx).bump(st(tx).serial_commits);
   const std::uint32_t ob = obs::flags();
-  if (ob) {
-    const std::uint64_t dur = now_ns() - tx.obs_t0;
-    if (ob & obs::kMetricsBit)
-      tx.slot->txn_begin_ns.store(0, std::memory_order_relaxed);
-    if (ob & obs::kProfileBit) {
-      obs::SiteCounters& sc = obs::site_counters(tx.slot_id, tx.site);
-      sc.serial_commits.fetch_add(1, std::memory_order_relaxed);
-      sc.attempt_ns.add(dur);
-    }
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::SerialExit, AbortCause::None, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts), 0, 0, dur);
-  }
+  count(tx, Ctr::serial_commits, 1, ob);
+  if (ob)
+    obs_attempt_end(tx, ob, trace::Event::SerialExit, AbortCause::None, false);
   for (auto& fn : tx.deferred) {
     fn();
     st(tx).bump(st(tx).deferred_run);

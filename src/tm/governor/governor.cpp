@@ -40,12 +40,8 @@ bool watchdog_expired(const TxDesc& tx, const RuntimeConfig& cfg) noexcept {
 }
 
 Decision escalate(TxDesc& tx) {
-  TxStats& s = *tx.stats;
-  s.bump(s.gov_watchdog_escalations);
   const std::uint32_t ob = obs::flags();
-  if (ob & obs::kProfileBit)
-    obs::site_counters(tx.slot_id, tx.site)
-        .watchdog_escalations.fetch_add(1, std::memory_order_relaxed);
+  count(tx, Ctr::gov_watchdog_escalations, 1, ob);
   if (ob & obs::kTraceBit)
     trace::emit(trace::Event::WatchdogEscalate, tx.last_abort, tx.site,
                 static_cast<std::uint16_t>(tx.attempts));
@@ -114,10 +110,7 @@ bool admit_gated(TxDesc& tx) {
     }
     if (!counted) {
       counted = true;
-      s.bump(s.gov_storm_gated);
-      if (obs::flags() & obs::kProfileBit)
-        obs::site_counters(tx.slot_id, tx.site)
-            .storm_gated.fetch_add(1, std::memory_order_relaxed);
+      count(tx, Ctr::gov_storm_gated);
       // The gate is a starvation hazard too: start the watchdog clock.
       if (tx.txn_start_ns == 0) tx.txn_start_ns = now_ns();
     }
@@ -205,10 +198,7 @@ Decision on_abort(TxDesc& tx) {
       return Decision::Serial;
 
     case Disposition::Drain: {
-      s.bump(s.gov_drain_waits);
-      if (obs::flags() & obs::kProfileBit)
-        obs::site_counters(tx.slot_id, tx.site)
-            .drain_waits.fetch_add(1, std::memory_order_relaxed);
+      count(tx, Ctr::gov_drain_waits);
       if (fault::active() && fault::perturb(fault::Hook::GovDrain))
         s.bump(s.fault_delays);
       if (tx.last_abort == AbortCause::StripeBusy) {

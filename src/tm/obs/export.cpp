@@ -67,6 +67,17 @@ void append_hist_json(std::string& out, const char* key,
   out += ']';
 }
 
+/// `"aborts":{"<cause>":n,...},"aborts_total":total` for a per-cause array.
+void append_aborts_json(std::string& out, const std::uint64_t* aborts,
+                        std::uint64_t total) {
+  out += "\"aborts\":{";
+  for (int a = 1; a < kAbortCauseCount; ++a)
+    append_fmt(out, "%s\"%s\":%llu", a == 1 ? "" : ",",
+               to_string(static_cast<AbortCause>(a)),
+               (unsigned long long)aborts[a]);
+  append_fmt(out, "},\"aborts_total\":%llu", (unsigned long long)total);
+}
+
 }  // namespace
 
 std::vector<SiteProfile> collect_site_profiles() {
@@ -81,36 +92,13 @@ std::vector<SiteProfile> collect_site_profiles() {
       const SiteCounters* t = peek_site_table(s);
       if (!t) continue;
       const SiteCounters& c = t[id];
-      p.attempts += ld(c.attempts);
-      p.commits += ld(c.commits);
-      p.serial_fallbacks += ld(c.serial_fallbacks);
-      p.serial_commits += ld(c.serial_commits);
-      p.lock_sections += ld(c.lock_sections);
-      p.htm_retries += ld(c.htm_retries);
-      p.quiesce_waits += ld(c.quiesce_waits);
-      p.drain_waits += ld(c.drain_waits);
-      p.storm_gated += ld(c.storm_gated);
-      p.watchdog_escalations += ld(c.watchdog_escalations);
-      p.stripe_bumps += ld(c.stripe_bumps);
-      p.stripe_false_revalidations += ld(c.stripe_false_revalidations);
-      p.lazy_sub_commits += ld(c.lazy_sub_commits);
-      p.tictoc_extensions += ld(c.tictoc_extensions);
-      p.tictoc_extension_fails += ld(c.tictoc_extension_fails);
-      p.tictoc_wts_waits += ld(c.tictoc_wts_waits);
-      p.tictoc_lock_timeouts += ld(c.tictoc_lock_timeouts);
-      p.htm_routed_frees += ld(c.htm_routed_frees);
-      p.priv_limbo_routed += ld(c.priv_limbo_routed);
-      p.audit_hazard_arms += ld(c.audit_hazard_arms);
-      for (int a = 0; a < kAbortCauseCount; ++a)
-        p.aborts[a] += ld(c.aborts[a]);
+      p.add(c);
       for (int b = 0; b < LatencyHist::kBuckets; ++b) {
         p.attempt_hist[b] += ld(c.attempt_ns.buckets[b]);
         p.quiesce_hist[b] += ld(c.quiesce_ns.buckets[b]);
       }
     }
-    const std::uint64_t activity = p.attempts + p.commits + p.serial_commits +
-                                   p.lock_sections + p.aborts_total();
-    if (activity) out.push_back(p);
+    if (!p.idle()) out.push_back(p);
   }
   return out;
 }
@@ -194,13 +182,9 @@ std::string obs_json() {
                (unsigned long long)v);
     first = false;
   });
-  out += ",\"aborts\":{";
-  for (int a = 1; a < kAbortCauseCount; ++a)
-    append_fmt(out, "%s\"%s\":%llu", a == 1 ? "" : ",",
-               to_string(static_cast<AbortCause>(a)),
-               (unsigned long long)snap.aborts[a]);
-  append_fmt(out, "},\"aborts_total\":%llu},",
-             (unsigned long long)snap.aborts_total());
+  out += ',';
+  append_aborts_json(out, snap.aborts, snap.aborts_total());
+  out += "},";
 
   out += "\"sites\":[";
   for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -209,47 +193,11 @@ std::string obs_json() {
     append_fmt(out, "{\"id\":%d,\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,",
                p.id, json_escape(p.info.name).c_str(),
                json_escape(p.info.file).c_str(), p.info.line);
-    append_fmt(out,
-               "\"attempts\":%llu,\"commits\":%llu,\"serial_fallbacks\":%llu,"
-               "\"serial_commits\":%llu,\"lock_sections\":%llu,"
-               "\"htm_retries\":%llu,\"quiesce_waits\":%llu,"
-               "\"drain_waits\":%llu,\"storm_gated\":%llu,"
-               "\"watchdog_escalations\":%llu,\"stripe_bumps\":%llu,"
-               "\"stripe_false_revalidations\":%llu,"
-               "\"lazy_sub_commits\":%llu,",
-               (unsigned long long)p.attempts, (unsigned long long)p.commits,
-               (unsigned long long)p.serial_fallbacks,
-               (unsigned long long)p.serial_commits,
-               (unsigned long long)p.lock_sections,
-               (unsigned long long)p.htm_retries,
-               (unsigned long long)p.quiesce_waits,
-               (unsigned long long)p.drain_waits,
-               (unsigned long long)p.storm_gated,
-               (unsigned long long)p.watchdog_escalations,
-               (unsigned long long)p.stripe_bumps,
-               (unsigned long long)p.stripe_false_revalidations,
-               (unsigned long long)p.lazy_sub_commits);
-    append_fmt(out,
-               "\"tictoc_extensions\":%llu,"
-               "\"tictoc_extension_fails\":%llu,\"tictoc_wts_waits\":%llu,"
-               "\"tictoc_lock_timeouts\":%llu,",
-               (unsigned long long)p.tictoc_extensions,
-               (unsigned long long)p.tictoc_extension_fails,
-               (unsigned long long)p.tictoc_wts_waits,
-               (unsigned long long)p.tictoc_lock_timeouts);
-    append_fmt(out,
-               "\"htm_routed_frees\":%llu,\"priv_limbo_routed\":%llu,"
-               "\"audit_hazard_arms\":%llu,",
-               (unsigned long long)p.htm_routed_frees,
-               (unsigned long long)p.priv_limbo_routed,
-               (unsigned long long)p.audit_hazard_arms);
-    out += "\"aborts\":{";
-    for (int a = 1; a < kAbortCauseCount; ++a)
-      append_fmt(out, "%s\"%s\":%llu", a == 1 ? "" : ",",
-                 to_string(static_cast<AbortCause>(a)),
-                 (unsigned long long)p.aborts[a]);
-    append_fmt(out, "},\"aborts_total\":%llu,",
-               (unsigned long long)p.aborts_total());
+    p.for_each_counter([&](const char* key, std::uint64_t v) {
+      append_fmt(out, "\"%s\":%llu,", key, (unsigned long long)v);
+    });
+    append_aborts_json(out, p.aborts, p.aborts_total());
+    out += ',';
     append_hist_json(out, "attempt_ns_hist", p.attempt_hist);
     out += ',';
     append_hist_json(out, "quiesce_ns_hist", p.quiesce_hist);

@@ -21,42 +21,16 @@
 namespace tle::obs {
 
 /// Plain-value aggregate of one site's counters across all thread slots.
-struct SiteProfile {
+struct SiteProfile : SiteTotals {
   int id = 0;
   SiteInfo info{};
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t serial_fallbacks = 0;
-  std::uint64_t serial_commits = 0;
-  std::uint64_t lock_sections = 0;
-  std::uint64_t htm_retries = 0;
-  std::uint64_t quiesce_waits = 0;
-  std::uint64_t drain_waits = 0;
-  std::uint64_t storm_gated = 0;
-  std::uint64_t watchdog_escalations = 0;
-  std::uint64_t stripe_bumps = 0;
-  std::uint64_t stripe_false_revalidations = 0;
-  std::uint64_t lazy_sub_commits = 0;
-  std::uint64_t tictoc_extensions = 0;
-  std::uint64_t tictoc_extension_fails = 0;
-  std::uint64_t tictoc_wts_waits = 0;
-  std::uint64_t tictoc_lock_timeouts = 0;
-  std::uint64_t htm_routed_frees = 0;
-  std::uint64_t priv_limbo_routed = 0;
-  std::uint64_t audit_hazard_arms = 0;
-  std::uint64_t aborts[static_cast<int>(AbortCause::kCount)] = {};
   std::uint64_t attempt_hist[LatencyHist::kBuckets] = {};
   std::uint64_t quiesce_hist[LatencyHist::kBuckets] = {};
-
-  std::uint64_t aborts_total() const noexcept {
-    std::uint64_t t = 0;
-    for (auto a : aborts) t += a;
-    return t;
-  }
 };
 
-/// Sum every thread's per-site counters. Sites with no activity are
-/// omitted; site 0 ("(unnamed)") appears iff unnamed sections ran.
+/// Sum every thread's per-site counters. Sites whose counters are all zero
+/// are omitted, so the listed sites still sum to the thread totals; site 0
+/// ("(unnamed)") appears iff something was counted outside a named site.
 std::vector<SiteProfile> collect_site_profiles();
 
 /// Ranked (by aborts, then attempts) fixed-width table of the profiles —
@@ -70,8 +44,9 @@ std::string site_table(const std::vector<SiteProfile>& profiles);
 std::string starvation_table(const std::vector<SiteProfile>& profiles);
 
 /// The `tle-obs/v1` document: {schema, mode, stats{...}, sites[...]}.
-/// `stats` carries every TLE_TXSTATS_COUNTERS counter by name plus the
-/// per-cause abort breakdown, so it is schema-complete by construction.
+/// `stats` carries every TLE_COUNTERS counter by name and each site object
+/// every site-row counter, each plus the per-cause abort breakdown, so both
+/// are schema-complete by construction.
 std::string obs_json();
 
 /// Chrome trace-event JSON ("traceEvents") from a flight-recorder

@@ -52,23 +52,10 @@ std::uint64_t delta(std::uint64_t cur, std::uint64_t prev) noexcept {
   return cur >= prev ? cur - prev : cur;
 }
 
-/// Flat per-site snapshot — only the fields the windows expose.
-struct SiteSnap {
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t serial_fallbacks = 0;
-  std::uint64_t serial_commits = 0;
-  std::uint64_t htm_retries = 0;
-  std::uint64_t drain_waits = 0;
-  std::uint64_t storm_gated = 0;
-  std::uint64_t watchdog_escalations = 0;
-  std::uint64_t aborts[kAbortCauseCount] = {};
+/// Per-site snapshot: the site-row totals plus the attempt histogram.
+struct SiteSnap : SiteTotals {
   std::uint64_t hist[LatencyHist::kBuckets] = {};
 };
-
-std::uint64_t ld(const std::atomic<std::uint64_t>& c) noexcept {
-  return c.load(std::memory_order_relaxed);
-}
 
 /// Sum every slot's table into `out[0..kMaxSites)` (all sites, unfiltered —
 /// the delta engine needs stable indexing, unlike collect_site_profiles).
@@ -79,19 +66,10 @@ void collect_sites(SiteSnap* out) {
     const SiteCounters* t = peek_site_table(s);
     if (!t) continue;
     for (int id = 0; id < kMaxSites; ++id) {
-      const SiteCounters& c = t[id];
-      SiteSnap& o = out[id];
-      o.attempts += ld(c.attempts);
-      o.commits += ld(c.commits);
-      o.serial_fallbacks += ld(c.serial_fallbacks);
-      o.serial_commits += ld(c.serial_commits);
-      o.htm_retries += ld(c.htm_retries);
-      o.drain_waits += ld(c.drain_waits);
-      o.storm_gated += ld(c.storm_gated);
-      o.watchdog_escalations += ld(c.watchdog_escalations);
-      for (int a = 0; a < kAbortCauseCount; ++a) o.aborts[a] += ld(c.aborts[a]);
+      out[id].add(t[id]);
       for (int b = 0; b < LatencyHist::kBuckets; ++b)
-        o.hist[b] += ld(c.attempt_ns.buckets[b]);
+        out[id].hist[b] +=
+            t[id].attempt_ns.buckets[b].load(std::memory_order_relaxed);
     }
   }
 }
@@ -208,15 +186,9 @@ MetricsWindow tick_locked(State& st, bool final_flush) {
     const SiteSnap& p = st.prev_sites[id];
     SiteWindow sw;
     sw.id = id;
-    sw.attempts = delta(c.attempts, p.attempts);
-    sw.commits = delta(c.commits, p.commits);
-    sw.serial_fallbacks = delta(c.serial_fallbacks, p.serial_fallbacks);
-    sw.serial_commits = delta(c.serial_commits, p.serial_commits);
-    sw.htm_retries = delta(c.htm_retries, p.htm_retries);
-    sw.drain_waits = delta(c.drain_waits, p.drain_waits);
-    sw.storm_gated = delta(c.storm_gated, p.storm_gated);
-    sw.watchdog_escalations =
-        delta(c.watchdog_escalations, p.watchdog_escalations);
+#define TLE_SITE_DELTA(name, site, ...) sw.site = delta(c.site, p.site);
+    TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_SITE_DELTA)
+#undef TLE_SITE_DELTA
     for (int a = 0; a < kAbortCauseCount; ++a)
       sw.aborts[a] = delta(c.aborts[a], p.aborts[a]);
     const std::uint64_t activity = sw.attempts + sw.commits +
@@ -521,49 +493,13 @@ std::string prometheus_text() {
   const StatsSnapshot snap = aggregate_stats();
   const std::vector<SiteProfile> profiles = collect_site_profiles();
   std::string out;
-  auto counter = [&](const char* name, const char* help,
-                     unsigned long long v) {
-    append_fmt(out, "# HELP %s %s\n# TYPE %s counter\n%s %llu\n", name, help,
-               name, name, v);
-  };
-  counter("tle_txn_starts_total", "Speculative attempts begun.",
-          snap.txn_starts);
-  counter("tle_commits_total", "Speculative commits.", snap.commits);
-  counter("tle_serial_commits_total", "Irrevocable/serial executions.",
-          snap.serial_commits);
-  counter("tle_serial_fallbacks_total", "Attempts that went serial.",
-          snap.serial_fallbacks);
-  counter("tle_lock_sections_total", "Sections run under the real lock.",
-          snap.lock_sections);
-  counter("tle_htm_routed_frees_total",
-          "Engine frees limbo-routed because HTM readers were in flight.",
-          snap.htm_routed_frees);
-  counter("tle_priv_immediate_frees_total",
-          "tm_private_free blocks released immediately.",
-          snap.priv_immediate_frees);
-  counter("tle_priv_limbo_routed_total",
-          "tm_private_free blocks parked in limbo.", snap.priv_limbo_routed);
-  counter("tle_ctl_evals_total", "Adaptive-controller evaluation passes.",
-          snap.ctl_evals);
-  counter("tle_ctl_plan_changes_total",
-          "Controller per-site plan changes applied.", snap.ctl_plan_changes);
-  counter("tle_ctl_forced_serial_total",
-          "Attempts routed serial by a controller plan.",
-          snap.ctl_forced_serial);
-  counter("tle_ctl_probe_attempts_total",
-          "Recovery-probe attempts re-admitted to speculation.",
-          snap.ctl_probe_attempts);
-  counter("tle_ctl_degraded_enters_total",
-          "Controller degraded-mode entries.", snap.ctl_degraded_enters);
-  counter("tle_ctl_degraded_exits_total",
-          "Controller degraded-mode full recoveries.",
-          snap.ctl_degraded_exits);
-  counter("tle_ctl_flaps_total",
-          "Probing intervals that re-tripped back to degraded.",
-          snap.ctl_flaps);
-  counter("tle_ctl_mode_switches_total",
-          "Drained global exec-mode switches by the controller.",
-          snap.ctl_mode_switches);
+  snap.for_each_counter(
+      [&](const char* name, std::uint64_t v, const char* desc) {
+        append_fmt(out,
+                   "# HELP tle_%s_total %s.\n# TYPE tle_%s_total counter\n"
+                   "tle_%s_total %llu\n",
+                   name, desc, name, name, (unsigned long long)v);
+      });
   out +=
       "# HELP tle_aborts_total Speculative aborts by cause.\n"
       "# TYPE tle_aborts_total counter\n";

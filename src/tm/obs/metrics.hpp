@@ -34,21 +34,13 @@
 
 namespace tle::obs {
 
-/// Per-site interval activity inside one window. Counter fields are deltas
-/// against the previous tick; total_commits is the cumulative value at this
-/// tick (the conservation anchor: summed deltas == last total).
-struct SiteWindow {
+/// Per-site interval activity inside one window. The site-row counters
+/// (SiteTotals) are deltas against the previous tick; total_commits is the
+/// cumulative value at this tick (the conservation anchor: summed deltas ==
+/// last total).
+struct SiteWindow : SiteTotals {
   int id = 0;
   const char* name = "(unnamed)";
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t serial_fallbacks = 0;
-  std::uint64_t serial_commits = 0;
-  std::uint64_t htm_retries = 0;
-  std::uint64_t drain_waits = 0;
-  std::uint64_t storm_gated = 0;
-  std::uint64_t watchdog_escalations = 0;
-  std::uint64_t aborts[kAbortCauseCount] = {};
   std::uint64_t attempt_hist[LatencyHist::kBuckets] = {};
   std::uint64_t total_commits = 0;
   /// Cumulative starvation signals at this tick (the basis of the exported
@@ -61,12 +53,6 @@ struct SiteWindow {
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
   std::uint64_t p999_ns = 0;
-
-  std::uint64_t aborts_total() const noexcept {
-    std::uint64_t t = 0;
-    for (auto a : aborts) t += a;
-    return t;
-  }
 };
 
 /// Instantaneous runtime health, sampled at the closing tick of a window.

@@ -97,36 +97,9 @@ SiteCounters* peek_site_table(int slot) noexcept {
 }
 
 void reset_site_profiles() noexcept {
-  for (int s = 0; s < kMaxThreads; ++s) {
-    SiteCounters* t = g_tables[s].load(std::memory_order_acquire);
-    if (!t) continue;
-    for (int i = 0; i < kMaxSites; ++i) {
-      SiteCounters& c = t[i];
-      auto zero = [](std::atomic<std::uint64_t>& a) {
-        a.store(0, std::memory_order_relaxed);
-      };
-      zero(c.attempts);
-      zero(c.commits);
-      zero(c.serial_fallbacks);
-      zero(c.serial_commits);
-      zero(c.lock_sections);
-      zero(c.htm_retries);
-      zero(c.quiesce_waits);
-      zero(c.drain_waits);
-      zero(c.storm_gated);
-      zero(c.watchdog_escalations);
-      zero(c.stripe_bumps);
-      zero(c.stripe_false_revalidations);
-      zero(c.lazy_sub_commits);
-      zero(c.tictoc_extensions);
-      zero(c.tictoc_extension_fails);
-      zero(c.tictoc_wts_waits);
-      zero(c.tictoc_lock_timeouts);
-      for (auto& a : c.aborts) zero(a);
-      for (auto& b : c.attempt_ns.buckets) zero(b);
-      for (auto& b : c.quiesce_ns.buckets) zero(b);
-    }
-  }
+  for (int s = 0; s < kMaxThreads; ++s)
+    if (SiteCounters* t = g_tables[s].load(std::memory_order_acquire))
+      for (int i = 0; i < kMaxSites; ++i) t[i].reset();
 }
 
 }  // namespace tle::obs

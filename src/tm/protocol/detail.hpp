@@ -1,7 +1,8 @@
 // Helpers shared by the commit-protocol policies (protocol.hpp) and the
-// engine's shared lifecycle (engine.cpp): stats access, fault-injection
-// decision points, and per-site obs attribution. Header-only so the policy
-// bodies inline into the engine's dispatch sites with zero call overhead.
+// engine's shared lifecycle (engine.cpp): stats access and fault-injection
+// decision points (events are counted with count(), obs/site.hpp).
+// Header-only so the policy bodies inline into the engine's dispatch sites
+// with zero call overhead.
 #pragma once
 
 #include "tm/fault/fault.hpp"
@@ -30,15 +31,6 @@ inline void maybe_inject(TxDesc& tx, fault::Hook h) {
 /// plan's yield/sleep, accounting the delay to `stats`.
 inline void maybe_perturb(TxStats& stats, fault::Hook h) {
   if (fault::active() && fault::perturb(h)) stats.bump(stats.fault_delays);
-}
-
-/// Attribute one event to the current site's profile row (no-op unless
-/// per-site profiling is on — one relaxed flag load).
-inline void site_bump(TxDesc& tx,
-                      obs::SiteCounters::Counter obs::SiteCounters::* field) {
-  if (obs::flags() & obs::kProfileBit)
-    (obs::site_counters(tx.slot_id, tx.site).*field)
-        .fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace tle::protocol::detail

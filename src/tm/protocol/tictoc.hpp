@@ -55,24 +55,19 @@ struct TicToc {
   /// with Conflict (the governor backs off and retries — the lock holder is
   /// mid-publication and clears on its own).
   static void lock_wait(TxDesc& tx, unsigned& spin, bool& counted) {
-    TxStats& s = detail::st(tx);
     if (!counted) {
       counted = true;
-      s.bump(s.tictoc_wts_waits);
-      detail::site_bump(tx, &obs::SiteCounters::tictoc_wts_waits);
+      count(tx, Ctr::tictoc_wts_waits);
     }
     if (spin >= config().park_spin_limit) {
-      s.bump(s.tictoc_lock_timeouts);
-      detail::site_bump(tx, &obs::SiteCounters::tictoc_lock_timeouts);
+      count(tx, Ctr::tictoc_lock_timeouts);
       tx_abort(tx, AbortCause::Conflict);
     }
     spin_pause(spin++);
   }
 
   [[noreturn]] static void certify_fail(TxDesc& tx) {
-    TxStats& s = detail::st(tx);
-    s.bump(s.tictoc_extension_fails);
-    detail::site_bump(tx, &obs::SiteCounters::tictoc_extension_fails);
+    count(tx, Ctr::tictoc_extension_fails);
     tx_abort(tx, AbortCause::Validation);
   }
 
@@ -100,9 +95,7 @@ struct TicToc {
         const std::uint64_t extended = tt_make(tt_wts(cur), ts);
         if (o.compare_exchange_weak(cur, extended,
                                     std::memory_order_acq_rel)) {
-          TxStats& s = detail::st(tx);
-          s.bump(s.tictoc_extensions);
-          detail::site_bump(tx, &obs::SiteCounters::tictoc_extensions);
+          count(tx, Ctr::tictoc_extensions);
           return extended;
         }
         continue;  // CAS refreshed cur; re-examine

@@ -217,16 +217,16 @@ StatsSnapshot aggregate_stats() noexcept {
   };
   for (int i = 0; i < hw; ++i) {
     TxStats& s = slots[i].stats;
-    // The X-macro guarantees every scalar counter is summed; the
+    // The table guarantees every scalar counter is summed; the
     // static_assert in stats.hpp guarantees there is nothing else to sum.
-#define TLE_TXSTATS_SUM(name, desc) out.name += get(s.name);
-    TLE_TXSTATS_COUNTERS(TLE_TXSTATS_SUM)
+#define TLE_TXSTATS_SUM(name, ...) out.name += get(s.name);
+    TLE_COUNTERS(TLE_TXSTATS_SUM, TLE_TXSTATS_SUM)
 #undef TLE_TXSTATS_SUM
     for (int a = 0; a < kAbortCauseCount; ++a)
       out.aborts[a] += get(s.aborts[a]);
   }
   // Registry overflow is a process-level event (no thread owns it): folded
-  // in here so it reaches every consumer of the X-macro snapshot. It
+  // in here so it reaches every consumer of the table snapshot. It
   // survives reset_stats() deliberately — the registry stays full.
   out.obs_site_overflow += obs::site_overflow_count();
   return out;

@@ -1,14 +1,17 @@
-// Per-thread transaction statistics.
+// Per-thread transaction statistics and the one counter table.
 //
 // These counters are the evidence stream for the reproduction: Figure 4 and
 // the in-text Section VII-A numbers (transaction counts, abort percentages,
 // HTM serial-fallback rates) are regenerated from them.
 //
-// Every scalar counter lives in the TLE_TXSTATS_COUNTERS X-macro below, which
+// TLE_COUNTERS below is the only declaration of a scalar counter. It
 // generates the TxStats members, the StatsSnapshot mirror, reset(),
-// aggregation (runtime.cpp), the visitor used by the tle-obs/v1 JSON export,
-// and a field-count static_assert — so a counter added in one place cannot
-// silently drop out of the snapshot or the dumps.
+// aggregation (runtime.cpp), the tle-obs/v1 `stats` object and the
+// Prometheus counters; its S rows also generate the per-site rows
+// (obs/site.hpp) with their reset, aggregation, metrics deltas and the
+// tle-obs/v1 `sites` objects. Events are counted with tle::count()
+// (obs/site.hpp), which bumps the thread's row and, while profiling is on,
+// the site's, so per-site sums equal the thread totals by construction.
 #pragma once
 
 #include <atomic>
@@ -19,82 +22,117 @@
 
 namespace tle {
 
-/// X(name, "description") for every scalar TxStats counter. The per-cause
-/// abort array is the one deliberate non-member of this list (it is indexed
-/// by AbortCause and handled explicitly wherever the macro is expanded).
-#define TLE_TXSTATS_COUNTERS(X)                                             \
-  X(txn_starts, "speculative attempts begun")                               \
-  X(commits, "speculative commits")                                         \
-  X(commits_readonly, "subset of commits with empty write set")             \
-  X(serial_fallbacks, "attempts that gave up and went serial")              \
-  X(serial_commits, "irrevocable/serial executions completed")              \
-  X(lock_sections, "critical sections run under the real lock")             \
-  X(quiesce_calls, "post-commit quiescence operations performed")           \
-  X(quiesce_waits, "quiescence calls that actually blocked")                \
-  X(quiesce_spins, "spin iterations spent waiting in quiescence")           \
-  X(quiesce_wait_ns, "nanoseconds spent blocked in quiescence")             \
-  X(grace_scans, "grace passes this thread scanned itself")                 \
-  X(grace_shared, "quiesces satisfied by another thread's scan")            \
-  X(parked_waits, "futex parks after the bounded quiesce spin")             \
-  X(limbo_enqueued, "free batches deferred to the limbo list")              \
-  X(limbo_drained, "limbo batches released after a grace")                  \
-  X(limbo_forced_flush, "drains forced by the limbo size bound")            \
-  X(noquiesce_requests, "TM_NoQuiesce() invocations")                       \
-  X(noquiesce_honored, "commits that skipped quiescence")                   \
-  X(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")          \
-  X(noquiesce_ignored_free, "skips denied: txn freed memory")               \
-  X(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")  \
-  X(htm_routed_frees, "engine frees routed to limbo: HTM readers in-flight") \
-  X(priv_immediate_frees, "tm_private_free released immediately")           \
-  X(priv_limbo_routed, "tm_private_free routed through limbo")              \
-  X(tm_allocs, "transactional allocations")                                 \
-  X(tm_frees, "transactional frees")                                        \
-  X(deferred_run, "deferred actions executed post-commit")                  \
-  X(condvar_waits, "transactional condvar waits")                           \
-  X(condvar_timeouts, "transactional condvar timed waits that expired")     \
-  X(htm_retries, "HTM re-attempts after an abort")                          \
-  X(stm_read_dedup, "ml_wt repeat reads absorbed by the filter")            \
-  X(htm_read_dedup, "HTM repeat reads served from the value log")           \
-  X(htm_rw_hits, "HTM reads served from the write buffer")                  \
-  X(stripe_bumps, "commit-sequence stripes acquired by HTM commits")        \
-  X(stripe_false_revalidations, "stripe revalidations with no value change") \
-  X(lazy_sub_commits, "HTM commits under lazy fallback-lock subscription")  \
-  X(gclock_advances, "deferred-clock CAS advances by readers (GV5)")        \
-  X(tictoc_extensions, "tictoc read-entry rts extensions (CAS bumps)")      \
-  X(tictoc_extension_fails, "tictoc extensions failed: value changed")      \
-  X(tictoc_wts_waits, "tictoc bounded waits on a locked orec")              \
-  X(tictoc_lock_timeouts, "tictoc bounded lock waits that expired")         \
-  X(faults_injected, "aborts fired by the fault-injection plan")            \
-  X(fault_delays, "schedule perturbations executed by the plan")            \
-  X(fault_forced_serial, "serial-mode entries forced by the plan")          \
-  X(fault_forced_flush, "limbo flushes forced by the plan")                 \
-  X(gov_serial_immediate, "aborts escalated straight to serial by policy")  \
-  X(gov_backoffs, "aborts handled with randomized exponential backoff")     \
-  X(gov_immediate_retries, "aborts retried immediately (spurious policy)")  \
-  X(gov_drain_waits, "serial-pending drains awaited without budget burn")   \
-  X(gov_drain_timeouts, "drain waits that hit serial_drain_timeout_ns")     \
-  X(gov_storm_enters, "abort-storm gate activations")                       \
-  X(gov_storm_exits, "abort-storm gate releases")                           \
-  X(gov_storm_gated, "speculative attempts held at the storm gate")         \
-  X(gov_watchdog_escalations, "starving transactions escalated to serial")  \
-  X(gov_stall_events, "quiesce/drain stalls exceeding watchdog_stall_ns")    \
-  X(ctl_evals, "adaptive-controller evaluation passes")                     \
-  X(ctl_plan_changes, "controller per-site plan changes applied")           \
-  X(ctl_forced_serial, "attempts routed serial by a controller plan")       \
-  X(ctl_boost_applied, "attempts granted a controller-boosted retry budget") \
-  X(ctl_probe_attempts, "recovery-probe attempts re-admitted to speculate")  \
-  X(ctl_degraded_enters, "controller degraded-mode entries")                \
-  X(ctl_degraded_exits, "controller degraded-mode full recoveries")         \
-  X(ctl_mode_switches, "drained global exec-mode switches by the controller") \
-  X(ctl_flaps, "probing intervals that re-tripped back to degraded")        \
-  X(obs_site_overflow, "TLE_TX_SITE registrations folded into id 0: full")
+/// The counter table, one row per scalar counter:
+///   G(name, "description")            counted per thread only;
+///   S(name, site, pos, "description") also counted per TLE_TX_SITE, as
+///       `site` in the site row; `pos` is its key position in a tle-obs/v1
+///       site object, whose published key order differs from table order.
+/// The per-cause abort array is the one deliberate non-member of this table
+/// (it is indexed by AbortCause and handled explicitly wherever the table is
+/// expanded).
+#define TLE_COUNTERS(G, S)                                                    \
+  S(txn_starts, attempts, 0, "speculative attempts begun")                    \
+  S(commits, commits, 1, "speculative commits")                               \
+  G(commits_readonly, "subset of commits with empty write set")               \
+  S(serial_fallbacks, serial_fallbacks, 2,                                    \
+    "attempts that gave up and went serial")                                  \
+  S(serial_commits, serial_commits, 3,                                        \
+    "irrevocable/serial executions completed")                                \
+  S(lock_sections, lock_sections, 4,                                          \
+    "critical sections run under the real lock")                              \
+  G(quiesce_calls, "post-commit quiescence operations performed")             \
+  S(quiesce_waits, quiesce_waits, 6,                                          \
+    "quiescence calls that actually blocked")                                 \
+  G(quiesce_spins, "spin iterations spent waiting in quiescence")             \
+  G(quiesce_wait_ns, "nanoseconds spent blocked in quiescence")               \
+  G(grace_scans, "grace passes this thread scanned itself")                   \
+  G(grace_shared, "quiesces satisfied by another thread's scan")              \
+  G(parked_waits, "futex parks after the bounded quiesce spin")               \
+  G(limbo_enqueued, "free batches deferred to the limbo list")                \
+  G(limbo_drained, "limbo batches released after a grace")                    \
+  G(limbo_forced_flush, "drains forced by the limbo size bound")              \
+  G(noquiesce_requests, "TM_NoQuiesce() invocations")                         \
+  G(noquiesce_honored, "commits that skipped quiescence")                     \
+  G(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")            \
+  G(noquiesce_ignored_free, "skips denied: txn freed memory")                 \
+  G(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")    \
+  S(htm_routed_frees, htm_routed_frees, 17,                                   \
+    "engine frees routed to limbo: HTM readers in-flight")                    \
+  G(priv_immediate_frees, "tm_private_free released immediately")             \
+  S(priv_limbo_routed, priv_limbo_routed, 18,                                 \
+    "tm_private_free routed through limbo")                                   \
+  S(audit_hazard_arms, audit_hazard_arms, 19,                                 \
+    "privatization hazards armed by unquiesced commits")                      \
+  G(tm_allocs, "transactional allocations")                                   \
+  G(tm_frees, "transactional frees")                                          \
+  G(deferred_run, "deferred actions executed post-commit")                    \
+  G(condvar_waits, "transactional condvar waits")                             \
+  G(condvar_timeouts, "transactional condvar timed waits that expired")       \
+  S(htm_retries, htm_retries, 5, "HTM re-attempts after an abort")            \
+  G(stm_read_dedup, "ml_wt repeat reads absorbed by the filter")              \
+  G(htm_read_dedup, "HTM repeat reads served from the value log")             \
+  G(htm_rw_hits, "HTM reads served from the write buffer")                    \
+  S(stripe_bumps, stripe_bumps, 10,                                           \
+    "commit-sequence stripes acquired by HTM commits")                        \
+  S(stripe_false_revalidations, stripe_false_revalidations, 11,               \
+    "stripe revalidations with no value change")                              \
+  S(lazy_sub_commits, lazy_sub_commits, 12,                                   \
+    "HTM commits under lazy fallback-lock subscription")                      \
+  G(gclock_advances, "deferred-clock CAS advances by readers (GV5)")          \
+  S(tictoc_extensions, tictoc_extensions, 13,                                 \
+    "tictoc read-entry rts extensions (CAS bumps)")                           \
+  S(tictoc_extension_fails, tictoc_extension_fails, 14,                       \
+    "tictoc extensions failed: value changed")                                \
+  S(tictoc_wts_waits, tictoc_wts_waits, 15,                                   \
+    "tictoc bounded waits on a locked orec")                                  \
+  S(tictoc_lock_timeouts, tictoc_lock_timeouts, 16,                           \
+    "tictoc bounded lock waits that expired")                                 \
+  G(faults_injected, "aborts fired by the fault-injection plan")              \
+  G(fault_delays, "schedule perturbations executed by the plan")              \
+  G(fault_forced_serial, "serial-mode entries forced by the plan")            \
+  G(fault_forced_flush, "limbo flushes forced by the plan")                   \
+  G(gov_serial_immediate, "aborts escalated straight to serial by policy")    \
+  G(gov_backoffs, "aborts handled with randomized exponential backoff")       \
+  G(gov_immediate_retries, "aborts retried immediately (spurious policy)")    \
+  S(gov_drain_waits, drain_waits, 7,                                          \
+    "serial-pending drains awaited without budget burn")                      \
+  G(gov_drain_timeouts, "drain waits that hit serial_drain_timeout_ns")       \
+  G(gov_storm_enters, "abort-storm gate activations")                         \
+  G(gov_storm_exits, "abort-storm gate releases")                             \
+  S(gov_storm_gated, storm_gated, 8,                                          \
+    "speculative attempts held at the storm gate")                            \
+  S(gov_watchdog_escalations, watchdog_escalations, 9,                        \
+    "starving transactions escalated to serial")                              \
+  G(gov_stall_events, "quiesce/drain stalls exceeding watchdog_stall_ns")     \
+  G(ctl_evals, "adaptive-controller evaluation passes")                       \
+  G(ctl_plan_changes, "controller per-site plan changes applied")             \
+  G(ctl_forced_serial, "attempts routed serial by a controller plan")         \
+  G(ctl_boost_applied, "attempts granted a controller-boosted retry budget")  \
+  G(ctl_probe_attempts, "recovery-probe attempts re-admitted to speculate")   \
+  G(ctl_degraded_enters, "controller degraded-mode entries")                  \
+  G(ctl_degraded_exits, "controller degraded-mode full recoveries")           \
+  G(ctl_mode_switches, "drained global exec-mode switches by the controller") \
+  G(ctl_flaps, "probing intervals that re-tripped back to degraded")          \
+  G(obs_site_overflow, "TLE_TX_SITE registrations folded into id 0: full")
 
-/// Number of scalar counters in the X-macro (excludes the abort array).
-inline constexpr int kTxStatsCounterCount = 0
-#define TLE_TXSTATS_COUNT_ONE(name, desc) +1
-    TLE_TXSTATS_COUNTERS(TLE_TXSTATS_COUNT_ONE)
-#undef TLE_TXSTATS_COUNT_ONE
-    ;
+/// Expansion for the row kind a use of TLE_COUNTERS leaves out.
+#define TLE_COUNTER_SKIP(...)
+
+/// One id per counter, in table order: the `counter` argument of count().
+enum class Ctr : std::uint8_t {
+#define TLE_CTR_ID(name, ...) name,
+  TLE_COUNTERS(TLE_CTR_ID, TLE_CTR_ID)
+#undef TLE_CTR_ID
+};
+
+#define TLE_COUNT_ONE(...) +1
+/// Number of scalar counters in the table (excludes the abort array).
+inline constexpr int kTxStatsCounterCount =
+    0 TLE_COUNTERS(TLE_COUNT_ONE, TLE_COUNT_ONE);
+/// Number of counters with a per-site row (the S rows).
+inline constexpr int kSiteCounterCount =
+    0 TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_COUNT_ONE);
+#undef TLE_COUNT_ONE
 
 inline constexpr int kAbortCauseCount = static_cast<int>(AbortCause::kCount);
 
@@ -103,16 +141,26 @@ inline constexpr int kAbortCauseCount = static_cast<int>(AbortCause::kCount);
 struct TxStats {
   using Counter = std::atomic<std::uint64_t>;
 
-#define TLE_TXSTATS_DECL(name, desc) Counter name{0};  ///< desc
-  TLE_TXSTATS_COUNTERS(TLE_TXSTATS_DECL)
+#define TLE_TXSTATS_DECL(name, ...) Counter name{0};
+  TLE_COUNTERS(TLE_TXSTATS_DECL, TLE_TXSTATS_DECL)
 #undef TLE_TXSTATS_DECL
 
   Counter aborts[kAbortCauseCount] = {};  ///< speculative aborts by cause
 
+  /// The member for each counter, indexed by Ctr.
+  static constexpr Counter TxStats::* kMembers[] = {
+#define TLE_TXSTATS_MEMBER(name, ...) &TxStats::name,
+      TLE_COUNTERS(TLE_TXSTATS_MEMBER, TLE_TXSTATS_MEMBER)
+#undef TLE_TXSTATS_MEMBER
+  };
+
+  /// The member for `c`; a constant `c` folds to a fixed offset.
+  Counter& at(Ctr c) noexcept { return this->*kMembers[static_cast<int>(c)]; }
+
   void reset() noexcept {
     auto zero = [](Counter& c) { c.store(0, std::memory_order_relaxed); };
-#define TLE_TXSTATS_ZERO(name, desc) zero(name);
-    TLE_TXSTATS_COUNTERS(TLE_TXSTATS_ZERO)
+#define TLE_TXSTATS_ZERO(name, ...) zero(name);
+    TLE_COUNTERS(TLE_TXSTATS_ZERO, TLE_TXSTATS_ZERO)
 #undef TLE_TXSTATS_ZERO
     for (auto& a : aborts) zero(a);
   }
@@ -125,16 +173,16 @@ struct TxStats {
   /// included. Used by tests to prove aggregation covers every field.
   template <typename F>
   void for_each_counter(F&& f) {
-#define TLE_TXSTATS_VISIT(name, desc) f(#name, name);
-    TLE_TXSTATS_COUNTERS(TLE_TXSTATS_VISIT)
+#define TLE_TXSTATS_VISIT(name, ...) f(#name, name);
+    TLE_COUNTERS(TLE_TXSTATS_VISIT, TLE_TXSTATS_VISIT)
 #undef TLE_TXSTATS_VISIT
   }
 };
 
 /// Plain-value aggregate of every live thread's TxStats.
 struct StatsSnapshot {
-#define TLE_TXSTATS_DECL(name, desc) std::uint64_t name = 0;  ///< desc
-  TLE_TXSTATS_COUNTERS(TLE_TXSTATS_DECL)
+#define TLE_TXSTATS_DECL(name, ...) std::uint64_t name = 0;
+  TLE_COUNTERS(TLE_TXSTATS_DECL, TLE_TXSTATS_DECL)
 #undef TLE_TXSTATS_DECL
 
   std::uint64_t aborts[kAbortCauseCount] = {};
@@ -164,24 +212,26 @@ struct StatsSnapshot {
   /// array is exported separately, keyed by cause name.
   template <typename F>
   void for_each_counter(F&& f) const {
-#define TLE_TXSTATS_VISIT(name, desc) f(#name, name, desc);
-    TLE_TXSTATS_COUNTERS(TLE_TXSTATS_VISIT)
-#undef TLE_TXSTATS_VISIT
+#define TLE_TXSTATS_VISIT_G(name, desc) f(#name, name, desc);
+#define TLE_TXSTATS_VISIT_S(name, site, pos, desc) f(#name, name, desc);
+    TLE_COUNTERS(TLE_TXSTATS_VISIT_G, TLE_TXSTATS_VISIT_S)
+#undef TLE_TXSTATS_VISIT_G
+#undef TLE_TXSTATS_VISIT_S
   }
 
   /// Multi-line human-readable report.
   std::string report() const;
 };
 
-// A counter added to StatsSnapshot outside the X-macro (or an AbortCause
+// A counter added to StatsSnapshot outside the table (or an AbortCause
 // added without growing the array) trips this: the snapshot must be exactly
-// the macro-generated scalars plus the per-cause abort array.
+// the table-generated scalars plus the per-cause abort array.
 static_assert(sizeof(StatsSnapshot) ==
                   sizeof(std::uint64_t) *
                       (kTxStatsCounterCount + kAbortCauseCount),
-              "StatsSnapshot has fields not generated by "
-              "TLE_TXSTATS_COUNTERS; add them to the X-macro so "
-              "aggregation and the obs exports stay complete");
+              "StatsSnapshot has fields not generated by TLE_COUNTERS; "
+              "add them to the table so aggregation and the obs exports "
+              "stay complete");
 
 /// Sum the counters of every registered thread (safe while threads run; the
 /// result is then approximate, exact at barriers).

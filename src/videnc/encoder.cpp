@@ -1,5 +1,6 @@
 #include "videnc/encoder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <semaphore>
@@ -172,8 +173,18 @@ class FrameJob {
     bzip::BitWriter& bw = row_bits_[static_cast<std::size_t>(r)];
     std::uint64_t bits = 0, sad = 0;
     for (int c = 0; c < cols_; ++c) {
-      wait_for_dependencies(r, c);
-      encode_ctu(r, c, bw, &bits, &sad);
+      const int frontier = wait_for_dependencies(r, c, ref_rows_read(r, 0));
+      // Motion hint from the CTU above (inter frames, non-slice-top rows:
+      // the CTU above is only guaranteed complete within the same slice).
+      // The search is centred on it, so a hint pointing down needs the
+      // reference rows its window reaches as well.
+      int hx = 0, hy = 0;
+      if (!src_.intra_only && ref_ && r > slice_first_row(r)) {
+        unpack_mv(read_mv_hint(r, c), &hx, &hy);
+        const int needed = ref_rows_read(r, hy);
+        if (needed > frontier) wait_for_dependencies(r, c, needed);
+      }
+      encode_ctu(r, c, hx, hy, bw, &bits, &sad);
       publish_ctu_done(r, c);
     }
     publish_recon_row(r);
@@ -220,36 +231,49 @@ class FrameJob {
   }
 
  private:
-  bool deps_satisfied(TxContext& tx, int r, int c) {
+  /// Reference rows [0, n) that CTU row r's motion search reads when
+  /// centred on vertical hint `hy`: each block reaches kBlock - 1 rows below
+  /// its origin, plus the ±range_ window; at_clamped folds rows past the
+  /// bottom edge onto the last one.
+  int ref_rows_read(int r, int hy) const noexcept {
+    const int y1 = std::min((r + 1) * kCtu, src_.luma.height());
+    const int blocks_end = (y1 + kBlock - 1) / kBlock * kBlock;
+    const int last = blocks_end - 1 + hy + range_;
+    return std::clamp(last, 0, src_.luma.height() - 1) / kCtu + 1;
+  }
+
+  bool deps_satisfied(TxContext& tx, int r, int c, int ref_rows,
+                      int* frontier) {
     // Wavefront: left CTU is ours (sequential in the row); top-right CTU of
     // the row above must be finished — unless this row starts a slice
     // (slices are independent).
     if (r > slice_first_row(r) &&
         tx.read(row_progress_[r - 1]) < std::min(c + 2, cols_))
       return false;
-    // Inter frames: the reference rows this CTU's motion search can touch
-    // must be reconstructed (one extra CTU row covers the search range).
-    // The frontier is the contiguous done-prefix, valid under slices too.
-    if (!src_.intra_only && ref_) {
-      const int needed = std::min(r + 2, ref_->rows);
-      if (tx.read(ref_->frontier) < needed) return false;
-    }
-    return true;
+    // Inter frames: the first `ref_rows` reference rows must be
+    // reconstructed. The frontier is the contiguous done-prefix, valid
+    // under slices too.
+    if (src_.intra_only || !ref_) return true;
+    *frontier = tx.read(ref_->frontier);
+    return *frontier >= ref_rows;
   }
 
-  void wait_for_dependencies(int r, int c) {
-    if (r == slice_first_row(r) && (src_.intra_only || !ref_)) return;
+  /// Block until deps_satisfied(r, c, ref_rows); returns the reference
+  /// frontier it last read (0 when it read none).
+  int wait_for_dependencies(int r, int c, int ref_rows) {
+    int frontier = 0;
+    if (r == slice_first_row(r) && (src_.intra_only || !ref_)) return frontier;
     for (long spins = 0;; ++spins) {
       bool ok = false;
       critical(ctu_rows_lock_, TLE_TX_SITE("videnc/ctu_deps_wait"),
                [&](TxContext& tx) {
-        ok = deps_satisfied(tx, r, c);
+        ok = deps_satisfied(tx, r, c, ref_rows, &frontier);
         if (!ok) {
           tx.no_quiesce();
           ctu_rows_cv_.wait_for(tx, kDepWait);
         }
       });
-      if (ok) return;
+      if (ok) return frontier;
       if (spins == 8000) {  // ~4 s of 500 us waits: report the stall
         std::fprintf(stderr,
                      "[videnc stall] frame=%d row=%d ctu=%d: above_progress=%d "
@@ -292,15 +316,10 @@ class FrameJob {
     });
   }
 
-  void encode_ctu(int r, int c, bzip::BitWriter& bw, std::uint64_t* bits,
-                  std::uint64_t* sad) {
+  void encode_ctu(int r, int c, int hx, int hy, bzip::BitWriter& bw,
+                  std::uint64_t* bits, std::uint64_t* sad) {
     const int x1 = std::min((c + 1) * kCtu, src_.luma.width());
     const int y1 = std::min((r + 1) * kCtu, src_.luma.height());
-    // Motion hint for this CTU (inter frames, non-slice-top rows: the CTU
-    // above is only guaranteed complete within the same slice).
-    int hx = 0, hy = 0;
-    if (!src_.intra_only && ref_ && r > slice_first_row(r))
-      unpack_mv(read_mv_hint(r, c), &hx, &hy);
     long best_mv = 0;
 
     for (int y0 = r * kCtu; y0 < y1; y0 += kBlock) {

@@ -58,10 +58,12 @@ const obs::SiteWindow* find_site(const obs::MetricsWindow& w,
   return nullptr;
 }
 
-/// Lifetime speculative commits of the site named `name`.
+/// Lifetime completed transactions of the site named `name`: speculative
+/// plus serial commits (one that exhausts its retries commits serially).
 std::uint64_t lifetime_commits(const char* name) {
   for (const obs::SiteProfile& p : obs::collect_site_profiles())
-    if (p.info.name && std::strcmp(p.info.name, name) == 0) return p.commits;
+    if (p.info.name && std::strcmp(p.info.name, name) == 0)
+      return p.commits + p.serial_commits;
   return 0;
 }
 
@@ -370,7 +372,7 @@ TEST(MetricsStress, ConcurrentTicksConserveCommitCounts) {
     while (!done.load(std::memory_order_acquire)) {
       const obs::MetricsWindow w = obs::metrics_tick();
       if (const obs::SiteWindow* s = find_site(w, "metrics/stress"))
-        ticked_commits += s->commits;
+        ticked_commits += s->commits + s->serial_commits;
       if (++rounds % 8 == 0) {
         obs::metrics_json(w);     // exercise the exporters concurrently
         obs::prometheus_text();
@@ -390,7 +392,7 @@ TEST(MetricsStress, ConcurrentTicksConserveCommitCounts) {
 
   const obs::MetricsWindow wf = obs::metrics_tick_final();
   if (const obs::SiteWindow* s = find_site(wf, "metrics/stress"))
-    ticked_commits += s->commits;
+    ticked_commits += s->commits + s->serial_commits;
 
   const std::uint64_t total =
       static_cast<std::uint64_t>(kWriters) * kPerWriter;

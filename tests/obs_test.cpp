@@ -4,18 +4,22 @@
 //   * log2 latency histogram bucket boundaries,
 //   * site registry identity and the id-clamp for out-of-range sites,
 //   * per-site abort attribution for every AbortCause,
+//   * counter conservation: per-site sums equal the thread totals, every
+//     attempt ends as one commit or abort, and the site reset zeroes all,
 //   * trace ring wrap-around, field round-trip, and a concurrent
 //     emit/snapshot/reset stress (TSan-clean),
 //   * export smoke: tle-obs/v1 JSON, the ranked site table, Chrome trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "test_support.hpp"
+#include "tm/audit.hpp"
 #include "tm/obs/export.hpp"
 #include "tm/obs/histogram.hpp"
 #include "tm/obs/site.hpp"
@@ -371,6 +375,133 @@ TEST(ObsProfile, AttributesSerialPendingBackout) {
   EXPECT_GE(p.aborts[static_cast<int>(AbortCause::SerialPending)], 1u);
   EXPECT_EQ(p.commits, 1u);
   EXPECT_EQ(profile_of("obs/serial_section").serial_commits, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter conservation: count() bumps the thread row and the site row
+// together, so every per-site sum equals its thread total
+// ---------------------------------------------------------------------------
+
+/// Yield until `done()` holds, for at most 10 s (a broken rendezvous then
+/// fails the assertions that follow instead of hanging the suite).
+template <typename P>
+void await(P&& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+/// Run `during` while a peer thread holds a transaction at `site` open in
+/// the current mode.
+template <typename F>
+void with_peer_in_flight(const obs::TxSite& site, F&& during) {
+  std::atomic<bool> open{false};
+  std::atomic<bool> release{false};
+  std::thread peer([&] {
+    atomic_do(site, [&](TxContext&) {
+      open.store(true, std::memory_order_release);
+      await([&] { return release.load(std::memory_order_acquire); });
+    });
+  });
+  await([&] { return open.load(std::memory_order_acquire); });
+  during();
+  release.store(true, std::memory_order_release);
+  peer.join();
+}
+
+TEST(ObsConservation, SiteRowsSumToThreadTotalsAndResetToZero) {
+  ModeGuard g(ExecMode::Htm);
+  ProfileGuard pg;
+  reset_stats();
+  tm_var<long> v(0);
+  auto bump = [&](TxContext& tx) { tx.write(v, tx.read(v) + 1); };
+
+  // An HTM begin against a held serial lock: the attempt has started when
+  // it aborts SerialPending, before it ever registers as a reader.
+  std::atomic<bool> holding{false};
+  std::thread writer([&] {
+    synchronized_do(TLE_TX_SITE("obs/conserve_writer"), [&](TxContext&) {
+      holding.store(true, std::memory_order_release);
+      await([] {
+        return aggregate_stats()
+                   .aborts[static_cast<int>(AbortCause::SerialPending)] > 0;
+      });
+    });
+  });
+  await([&] { return holding.load(std::memory_order_acquire); });
+  atomic_do(TLE_TX_SITE("obs/conserve_pending"), bump);
+  writer.join();
+
+  // One attempt under lazy fallback-lock subscription.
+  config().htm_subscription = HtmSubscription::Lazy;
+  atomic_do(TLE_TX_SITE("obs/conserve_lazy"), bump);
+  config().htm_subscription = HtmSubscription::Eager;
+
+  // A privatizing free while an HTM reader is in flight goes to limbo.
+  with_peer_in_flight(TLE_TX_SITE("obs/conserve_htm_reader"),
+                      [] { tm_private_free(::operator new(16)); });
+
+  // An unquiesced STM commit with a peer in flight arms an audit hazard.
+  set_exec_mode(ExecMode::StmCondVar);
+  config().quiesce = QuiescePolicy::Never;
+  audit::enable(true);
+  with_peer_in_flight(TLE_TX_SITE("obs/conserve_stm_reader"), [&] {
+    atomic_do(TLE_TX_SITE("obs/conserve_unquiesced"), bump);
+  });
+  audit::enable(false);
+  audit::reset();
+
+  const StatsSnapshot snap = aggregate_stats();
+  EXPECT_GT(snap.aborts[static_cast<int>(AbortCause::SerialPending)], 0u);
+  EXPECT_GT(snap.lazy_sub_commits, 0u);
+  EXPECT_GT(snap.priv_limbo_routed, 0u);
+  EXPECT_GT(snap.audit_hazard_arms, 0u);
+
+  obs::SiteTotals sum;
+  for (const obs::SiteProfile& p : obs::collect_site_profiles()) {
+    EXPECT_EQ(p.attempts, p.commits + p.aborts_total())
+        << "site " << p.info.name;
+#define TLE_SUM_SITE(name, site, ...) sum.site += p.site;
+    TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_SUM_SITE)
+#undef TLE_SUM_SITE
+    for (int a = 0; a < kAbortCauseCount; ++a) sum.aborts[a] += p.aborts[a];
+  }
+#define TLE_EXPECT_CONSERVED(name, site, ...) \
+  EXPECT_EQ(sum.site, snap.name) << "site sum of " #site " vs " #name;
+  TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_EXPECT_CONSERVED)
+#undef TLE_EXPECT_CONSERVED
+  for (int a = 0; a < kAbortCauseCount; ++a)
+    EXPECT_EQ(sum.aborts[a], snap.aborts[a])
+        << to_string(static_cast<AbortCause>(a));
+
+  // Give every counter of one row a nonzero value; the reset zeroes them.
+  obs::SiteCounters& row = obs::site_counters(
+      my_slot_id(), TLE_TX_SITE("obs/conserve_reset").id);
+  std::uint64_t k = 1;
+#define TLE_STORE_SITE(name, site, ...) \
+  row.site.store(k++, std::memory_order_relaxed);
+  TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_STORE_SITE)
+#undef TLE_STORE_SITE
+  for (auto& a : row.aborts) a.store(k++, std::memory_order_relaxed);
+  row.attempt_ns.add(k);
+  row.quiesce_ns.add(k);
+  obs::reset_site_profiles();
+  for (int s = 0; s < kMaxThreads; ++s) {
+    const obs::SiteCounters* t = obs::peek_site_table(s);
+    for (int id = 0; t && id < obs::kMaxSites; ++id) {
+#define TLE_EXPECT_ZERO(name, site, ...)                         \
+  EXPECT_EQ(t[id].site.load(std::memory_order_relaxed), 0u)      \
+      << #site " survived reset_site_profiles (slot " << s << ", site " \
+      << id << ")";
+      TLE_COUNTERS(TLE_COUNTER_SKIP, TLE_EXPECT_ZERO)
+#undef TLE_EXPECT_ZERO
+      for (const auto& a : t[id].aborts)
+        EXPECT_EQ(a.load(std::memory_order_relaxed), 0u);
+      EXPECT_EQ(t[id].attempt_ns.total(), 0u);
+      EXPECT_EQ(t[id].quiesce_ns.total(), 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
+#include "util/rng.hpp"
 #include "videnc/decoder.hpp"
 #include "videnc/encoder.hpp"
 
@@ -109,6 +110,57 @@ TEST(VidencProperty, FrameThreadSweepKeepsOutputIdentical) {
     else
       EXPECT_EQ(r.bitstream, baseline) << "frame_threads=" << ft;
   }
+}
+
+/// A smooth random texture (bilinear over an 8-pixel grid) scrolling up by
+/// `step` pixels per frame, so motion vectors point down the reference.
+std::vector<Plane> scrolling_clip(int w, int h, int frames, int step) {
+  constexpr int kGrid = 8;
+  const int gw = w / kGrid + 2;
+  const int gh = (h + step * frames) / kGrid + 2;
+  std::vector<int> grid(static_cast<std::size_t>(gw) * gh);
+  Xoshiro256 rng(7);
+  for (int& v : grid) v = static_cast<int>(rng() % 256);
+  auto at = [&](int gx, int gy) { return grid[gy * gw + gx]; };
+  std::vector<Plane> clip;
+  for (int f = 0; f < frames; ++f) {
+    Plane p(w, h);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        const int wy = y + step * f;
+        const int gx = x / kGrid, gy = wy / kGrid;
+        const int fx = x % kGrid, fy = wy % kGrid;
+        const int top = at(gx, gy) * (kGrid - fx) + at(gx + 1, gy) * fx;
+        const int bot = at(gx, gy + 1) * (kGrid - fx) + at(gx + 1, gy + 1) * fx;
+        p.set(x, y, static_cast<std::uint8_t>(
+                        (top * (kGrid - fy) + bot * fy) / (kGrid * kGrid)));
+      }
+    clip.push_back(std::move(p));
+  }
+  return clip;
+}
+
+// Content moving 20 px (more than one 16 px CTU) per frame walks the
+// CTU-above motion hints down the reference, so motion search reads
+// reference rows well below the CTU's own. With three frames in flight
+// those rows may still be under reconstruction by the previous frame;
+// the dependency wait must cover them for the stream to stay identical to
+// the one-frame-at-a-time encode.
+TEST(VidencProperty, FastVerticalMotionKeepsFrameThreadedOutputIdentical) {
+  ModeGuard g(ExecMode::Htm);
+  EncoderConfig cfg = base_cfg();
+  cfg.height = 160;
+  cfg.frames = 8;
+  cfg.gop = 8;
+  cfg.search_range = 8;
+  cfg.worker_threads = 6;
+  cfg.frame_threads = 1;
+  const std::vector<Plane> clip =
+      scrolling_clip(cfg.width, cfg.height, cfg.frames, 20);
+  const std::vector<std::uint8_t> serial = encode_planes(clip, cfg).bitstream;
+  cfg.frame_threads = 3;
+  for (int run = 0; run < 10; ++run)
+    EXPECT_EQ(encode_planes(clip, cfg).bitstream, serial) << "run " << run;
 }
 
 TEST(VidencProperty, StaticSceneCompressesBetterThanMotion) {

@@ -8,13 +8,15 @@
 //     retries x threads, reporting throughput and the serial fraction.
 //
 //  2. Lemming effect A/B: the same queue kernel with one interferer thread
-//     periodically entering a serial (synchronized) section. Under the
-//     cause-blind legacy policy every serial window burns worker retry
-//     budget, workers escalate to serial themselves, and each escalation
-//     aborts the other workers — the convoy feeds itself ("one lemming
-//     jumps, they all jump"). The contention governor drains serial windows
+//     periodically entering a serial (synchronized) section. Under a
+//     cause-blind policy every serial window burns worker retry budget,
+//     workers escalate to serial themselves, and each escalation aborts the
+//     other workers — the convoy feeds itself ("one lemming jumps, they all
+//     jump"). The contention governor's default table drains serial windows
 //     budget-free instead, so speculation resumes when the interferer
-//     leaves. The A/B gap (elided commits/s and serial_fallbacks) is the
+//     leaves. The cause-blind arm is a TxnAttrs table sending every cause
+//     but Unsafe to Backoff, with the watchdog and the storm gate switched
+//     off. The A/B gap (elided commits/s and serial_fallbacks) is the
 //     measured value of cause-awareness.
 //
 // Metric note: the headline rate is ELIDED commits/s — the runtime's
@@ -38,7 +40,8 @@
 //         "ops_per_sec": <double>, "serial_fallbacks": <uint>,
 //         "htm_retries": <uint>, "serial_pct": <double> }, ... ],
 //     "lemming": [
-//       { "governor": "on|off", "threads": <int>, "txns": <uint>,
+//       { "governor": "on|off",          // cause-aware | cause-blind
+//         "threads": <int>, "txns": <uint>,
 //         "elided_commits_per_sec": <double>,
 //         "total_txns_per_sec": <double>,
 //         "serial_entries": <uint>,      // interferer serial sections
@@ -61,6 +64,7 @@
 // the tier-1 ctest suite; the full run also executes the sweep and checks
 // the acceptance ratios above.
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -152,11 +156,11 @@ SweepResult run_sweep_cell(int retries, int threads, double secs) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 2: the lemming effect, governor on vs off
+// Experiment 2: the lemming effect, cause-aware vs cause-blind
 // ---------------------------------------------------------------------------
 
 struct LemmingResult {
-  bool governor = false;
+  bool cause_aware = false;
   int threads = 0;
   double secs = 0;
   std::uint64_t txns = 0;           // completed worker operations
@@ -199,15 +203,24 @@ constexpr int kWorkerTxnIters = 10000;
 constexpr int kInterfererHoldIters = 2000;
 constexpr int kInterfererGapIters = 20000;
 
-LemmingResult run_lemming_cell(bool governor, int threads, double secs) {
+LemmingResult run_lemming_cell(bool cause_aware, int threads, double secs) {
+  const RuntimeConfig saved = config();
   set_exec_mode(ExecMode::Htm);
-  config().governor = governor;
   // A tight budget makes the cause-blind pathology absorbing: one
   // serial-pending abort escalates, every escalation's own serial entry
   // aborts the other workers, and the convoy feeds itself. Both cells run
   // the SAME budget — the only difference is cause-awareness, which drains
   // serial windows without consuming it.
   config().htm_max_retries = 1;
+  TxnAttrs attrs;
+  if (!cause_aware) {
+    for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c)
+      if (static_cast<AbortCause>(c) != AbortCause::Unsafe)
+        attrs.with(static_cast<AbortCause>(c), gov::Disposition::Backoff);
+    config().watchdog_max_attempts = 0;
+    config().watchdog_deadline_ns = 0;
+    config().storm_window = UINT_MAX;  // no window ever folds: no storm gate
+  }
   reset_stats();
   gov::reset();
 
@@ -244,15 +257,16 @@ LemmingResult run_lemming_cell(bool governor, int threads, double secs) {
       std::uint64_t x = 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(t);
       long v = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        critical(work_lock, TLE_TX_SITE("lemming/worker"), [&](TxContext&) {
-          x = private_spin(x, kWorkerTxnIters);
-          // Queue metadata at the end of the body (nested, flat-subsumed):
-          // the PBZip2 critical-section shape.
-          if (local & 1)
-            benchmark::DoNotOptimize(queue.try_pop());
-          else
-            benchmark::DoNotOptimize(queue.try_push(v++));
-        });
+        critical(work_lock, TLE_TX_SITE("lemming/worker"), attrs,
+                 [&](TxContext&) {
+                   x = private_spin(x, kWorkerTxnIters);
+                   // Queue metadata at the end of the body (nested,
+                   // flat-subsumed): the PBZip2 critical-section shape.
+                   if (local & 1)
+                     benchmark::DoNotOptimize(queue.try_pop());
+                   else
+                     benchmark::DoNotOptimize(queue.try_push(v++));
+                 });
         benchmark::DoNotOptimize(x);
         ++local;
       }
@@ -268,7 +282,7 @@ LemmingResult run_lemming_cell(bool governor, int threads, double secs) {
   for (auto& w : workers) w.join();
 
   LemmingResult r;
-  r.governor = governor;
+  r.cause_aware = cause_aware;
   r.threads = threads;
   r.secs = measured;
   r.txns = ops.load();
@@ -276,11 +290,10 @@ LemmingResult run_lemming_cell(bool governor, int threads, double secs) {
   r.stats = aggregate_stats();
   check(r.txns > 0, "lemming cell made progress");
   check(r.serial_entries > 0, "interferer entered serial");
-  if (!governor)
-    check(r.stats.gov_drain_waits == 0, "legacy policy never drains");
+  if (!cause_aware)
+    check(r.stats.gov_drain_waits == 0, "cause-blind table never drains");
 
-  config().governor = true;
-  config().htm_max_retries = 2;
+  config() = saved;
   gov::reset();
   set_exec_mode(ExecMode::Lock);
   return r;
@@ -319,7 +332,7 @@ void emit_json(const char* path, const std::vector<SweepResult>& sweep,
   j.begin_arr();
   for (const LemmingResult& c : lemming) {
     j.begin_obj();
-    j.kv("governor", c.governor ? "on" : "off");
+    j.kv("governor", c.cause_aware ? "on" : "off");
     j.kv("threads", static_cast<std::uint64_t>(c.threads));
     j.kv("txns", c.txns);
     j.kv("elided_commits_per_sec", c.elided_commits_per_sec());
@@ -336,7 +349,7 @@ void emit_json(const char* path, const std::vector<SweepResult>& sweep,
     j.kv("gov_storm_gated", c.stats.gov_storm_gated);
     j.kv("gov_watchdog_escalations", c.stats.gov_watchdog_escalations);
     j.end_obj();
-    if (c.threads == accept_threads) (c.governor ? on : off) = &c;
+    if (c.threads == accept_threads) (c.cause_aware ? on : off) = &c;
   }
   j.end_arr();
 
@@ -394,8 +407,8 @@ int main(int argc, char** argv) {
 
   // Off first, on second: the interesting number is the recovery.
   std::vector<LemmingResult> lemming;
-  for (bool governor : {false, true})
-    lemming.push_back(run_lemming_cell(governor, threads, secs));
+  for (bool cause_aware : {false, true})
+    lemming.push_back(run_lemming_cell(cause_aware, threads, secs));
 
   if (!sweep.empty()) {
     std::printf("%8s %8s %14s %12s %12s %10s\n", "retries", "threads",
@@ -412,7 +425,7 @@ int main(int argc, char** argv) {
               "convoy", "drains", "watchdog");
   for (const LemmingResult& c : lemming)
     std::printf("%-9s %8d %14.0f %14.0f %10llu %12llu %8.1f %12llu %10llu\n",
-                c.governor ? "on" : "off", c.threads,
+                c.cause_aware ? "on" : "off", c.threads,
                 c.elided_commits_per_sec(), c.total_txns_per_sec(),
                 static_cast<unsigned long long>(c.serial_entries),
                 static_cast<unsigned long long>(c.stats.serial_fallbacks),

@@ -38,7 +38,7 @@ REQUIRED_COUNTERS = [
     "tm_allocs", "tm_frees", "deferred_run",
     "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",
     "htm_read_dedup", "htm_rw_hits", "stripe_bumps",
-    "stripe_false_revalidations", "lazy_sub_commits", "gclock_advances",
+    "stripe_false_revalidations",
     "tictoc_extensions", "tictoc_extension_fails", "tictoc_wts_waits",
     "tictoc_lock_timeouts",
     "faults_injected", "fault_delays",
@@ -59,7 +59,7 @@ SITE_FIELDS = ["id", "name", "file", "line", "attempts", "commits",
                "serial_fallbacks", "serial_commits", "lock_sections",
                "htm_retries", "quiesce_waits", "drain_waits", "storm_gated",
                "watchdog_escalations", "stripe_bumps",
-               "stripe_false_revalidations", "lazy_sub_commits",
+               "stripe_false_revalidations",
                "tictoc_extensions", "tictoc_extension_fails",
                "tictoc_wts_waits", "tictoc_lock_timeouts",
                "htm_routed_frees", "priv_limbo_routed", "audit_hazard_arms",

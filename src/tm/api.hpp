@@ -325,7 +325,7 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
       run_serial(tx, body);
       return;
     }
-    if (cfg.governor && !gov::admit(tx)) {
+    if (!gov::admit(tx)) {
       // Starved at the storm gate: the watchdog escalated us to serial.
       count(tx, Ctr::serial_fallbacks);
       tx.force_serial = true;
@@ -344,27 +344,13 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
         throw;
       }
       tx_commit_speculative(tx);
-      if (cfg.governor) gov::on_commit(tx);
+      gov::on_commit(tx);
       tx_post_commit(tx);
       return;
     }
     // Aborted (longjmp): the descriptor is already rolled back and clean.
     ++tx.attempts;
-    bool serial;
-    if (cfg.governor) {
-      serial = gov::on_abort(tx) == gov::Decision::Serial;
-    } else {
-      // Cause-blind legacy policy, kept as the ablation baseline the
-      // lemming-effect benchmark measures against.
-      int limit = live_mode() == ExecMode::Htm ? cfg.htm_max_retries
-                                               : cfg.stm_max_retries;
-      if (tx.attr_retries >= 0) limit = tx.attr_retries;  // -1 = inherit
-      if (limit < 0) limit = 0;  // validate_config() rejects negatives
-      serial = tx.last_abort == AbortCause::Unsafe ||
-               tx.attempts >= static_cast<unsigned>(limit);
-      if (!serial) tx_backoff(tx);
-    }
-    if (serial) {
+    if (gov::on_abort(tx) == gov::Decision::Serial) {
       tx.force_serial = true;
       count(tx, Ctr::serial_fallbacks);
     } else if (live_mode() == ExecMode::Htm) {

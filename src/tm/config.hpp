@@ -55,33 +55,10 @@ enum class AbortCause : std::uint8_t {
   kCount,
 };
 
-/// When a simulated-HTM transaction subscribes to the fallback (serial)
-/// lock. The paper's hardware elision subscribes at xbegin and on every
-/// access; Dice et al. ("Hardware extensions to make lazy subscription
-/// safe", PAPERS.md) analyze why deferring the subscription to commit is
-/// unsafe without hardware support. Lazy mode exists to make that hazard
-/// observable, not to be used.
-enum class HtmSubscription : std::uint8_t {
-  Eager,  ///< subscribe at begin + per-access serial_requested() poll (safe)
-  Lazy,   ///< subscribe only at commit (UNSAFE: zombie commits possible —
-          ///< kept as the measurable reproduction of Dice et al.'s hazard)
-};
-
-/// How ml_wt commits interact with the global clock line.
-enum class StmClockMode : std::uint8_t {
-  Eager,     ///< every write commit fetch_add's gclock (TL2 GV4-style); the
-             ///< unique wv enables the skip-validation fast path
-  Deferred,  ///< GV5-style: wv = gclock+1 without the RMW; commits always
-             ///< validate, readers advance the clock on first contact with
-             ///< a fresher timestamp (de-contends the clock line)
-};
-
 const char* to_string(ExecMode m) noexcept;
 const char* to_string(StmAlgo a) noexcept;
 const char* to_string(QuiescePolicy p) noexcept;
 const char* to_string(AbortCause c) noexcept;
-const char* to_string(HtmSubscription s) noexcept;
-const char* to_string(StmClockMode m) noexcept;
 
 /// Global knobs. Mutated only between phases (never while transactions run).
 struct RuntimeConfig {
@@ -102,9 +79,8 @@ struct RuntimeConfig {
   /// serial. 2 means "fall back after hardware transactions fail twice"
   /// (paper Section II-A); 0 means "one attempt, then serial". Negative
   /// values are invalid — validate_config() rejects them instead of the old
-  /// behaviour of silently clamping to 1. With the governor enabled,
-  /// SerialPending drain waits do not consume this budget (see
-  /// serial_drain_timeout_ns).
+  /// behaviour of silently clamping to 1. SerialPending drain waits do not
+  /// consume this budget (see serial_drain_timeout_ns).
   int htm_max_retries = 2;
 
   /// STM attempts before the GCC-style serialize-for-progress fallback.
@@ -136,16 +112,6 @@ struct RuntimeConfig {
   /// Must be a power of two in [1, kHtmStripeMax] (validate_config()).
   unsigned htm_seq_stripes = 16;
 
-  /// Fallback-lock subscription policy for the simulated HTM. Lazy is the
-  /// deliberately unsafe Dice et al. reproduction — see HtmSubscription.
-  HtmSubscription htm_subscription = HtmSubscription::Eager;
-
-  /// Global-clock commit protocol for ml_wt — see StmClockMode. Meaningful
-  /// only for stm_algo=ml_wt: gl_wt has its own version word and tictoc has
-  /// no global clock at all, so validate_config() rejects tictoc+deferred
-  /// instead of silently ignoring the knob.
-  StmClockMode stm_clock_mode = StmClockMode::Eager;
-
   /// Ablation A3: when true, each elidable_mutex forms its own quiescence
   /// domain instead of the single erased-lock domain of Section IV-A.
   bool multi_domain = false;
@@ -164,11 +130,8 @@ struct RuntimeConfig {
 
   // --- contention governor (src/tm/governor/) ----------------------------
   // Cause-aware retry policy, abort-storm throttling, and the starvation
-  // watchdog. Off restores the cause-blind legacy policy (kept as an
-  // ablation baseline for the lemming-effect benchmark).
-
-  /// Master switch for the governor.
-  bool governor = true;
+  // watchdog. Every speculative retry goes through it; a cause-blind policy
+  // is a TxnAttrs table mapping every cause but Unsafe to one disposition.
 
   /// Bound on a SerialPending drain wait: an aborted transaction waits (spin
   /// then timed sleep slices) for the serial lock's pending window to clear
@@ -228,8 +191,8 @@ struct RuntimeConfig {
   // global degraded mode (sustained storms force serial) and gradual
   // recovery probes. See docs/tm-internals.md "Self-tuning control loop".
 
-  /// Master switch for the controller. Requires governor and metrics
-  /// (validate_config()). Off means zero overhead on the txn path.
+  /// Master switch for the controller. Requires metrics (validate_config()).
+  /// Off means zero overhead on the txn path.
   bool controller = false;
 
   /// Evaluate once every this many metrics windows (deltas from skipped

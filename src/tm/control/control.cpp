@@ -728,7 +728,7 @@ void init_from_env() noexcept {
   const char* on = std::getenv("TLE_CTL");
   if (!on || on[0] == '\0' || on[0] == '0') return;
   RuntimeConfig& cfg = config();
-  if (!cfg.metrics || !cfg.governor) return;  // validate_config coherence
+  if (!cfg.metrics) return;  // validate_config coherence
   if (const char* p = std::getenv("TLE_CTL_PERIOD_WINDOWS")) {
     const long v = std::strtol(p, nullptr, 10);
     if (v >= 1) cfg.ctl_period_windows = static_cast<int>(v);

@@ -171,10 +171,10 @@ void stop();
 
 bool running() noexcept;
 
-/// TLE_CTL=1 enables the controller and starts its thread (requires the
-/// governor; enables metrics). TLE_CTL_PERIOD_WINDOWS / TLE_CTL_MIN_SAMPLES
-/// override the corresponding knobs. Called from obs::init_from_env() after
-/// the metrics env activation. Idempotent.
+/// TLE_CTL=1 enables the controller and starts its thread (requires
+/// metrics). TLE_CTL_PERIOD_WINDOWS / TLE_CTL_MIN_SAMPLES override the
+/// corresponding knobs. Called from obs::init_from_env() after the metrics
+/// env activation. Idempotent.
 void init_from_env() noexcept;
 
 }  // namespace tle::ctl

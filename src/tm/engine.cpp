@@ -12,9 +12,9 @@
 //     committer bumps only the stripes its write set touches (ascending
 //     acquisition); readers subscribe stripes lazily as their footprint
 //     grows and value-revalidate only entries whose stripe moved. Plus an
-//     L1 capacity model and fallback-lock subscription (paper Section II-A
-//     behaviours; eager per-access polling by default, commit-time lazy
-//     subscription as the observable Dice-et-al. hazard).
+//     L1 capacity model and eager fallback-lock subscription (paper Section
+//     II-A behaviours: a reader slot held from begin, and a per-access
+//     poll of the serial lock).
 //
 // Abort is longjmp-based: speculative bodies must confine side effects to
 // tm_var accesses, TxContext::alloc/free, and deferred actions (the same
@@ -227,9 +227,8 @@ unsigned htm_subscribe_stripe(TxDesc& tx, const void* addr) {
 
 std::uint64_t htm_read(TxDesc& tx, const std::atomic<std::uint64_t>& cell) {
   // Real HTM transactions die the instant the fallback lock is taken; the
-  // pending-writer poll is our analog of the lock-word subscription. Lazy
-  // mode skips it by design — that omission IS the Dice et al. hazard.
-  if (!tx.htm_lazy && serial_lock().serial_requested())
+  // pending-writer poll is our analog of the lock-word subscription.
+  if (serial_lock().serial_requested())
     tx_abort(tx, AbortCause::SerialPending);
 
   // Read-own-write from the store buffer: O(1). Last write wins because
@@ -287,7 +286,7 @@ std::uint64_t htm_read(TxDesc& tx, const std::atomic<std::uint64_t>& cell) {
 
 void htm_write(TxDesc& tx, std::atomic<std::uint64_t>& cell,
                std::uint64_t value) {
-  if (!tx.htm_lazy && serial_lock().serial_requested())
+  if (serial_lock().serial_requested())
     tx_abort(tx, AbortCause::SerialPending);
   if (!tx.wcap.touch(&cell)) tx_abort(tx, AbortCause::Capacity);
   // In-place upsert keeps the buffer at one entry per address while
@@ -310,22 +309,9 @@ void htm_commit(TxDesc& tx) {
   // reproduces the paper's observed TSX failure statistics.
   const double p = config().htm_spurious_abort_rate;
   if (p > 0 && tx.backoff_rng.chance(p)) tx_abort(tx, AbortCause::Spurious);
-  const std::uint32_t ob = obs::flags();
-  if (tx.htm_lazy) {
-    // Lazy subscription: the ONLY look at the fallback lock. A serial
-    // writer that started AND finished since our begin is invisible here —
-    // the zombie-commit window Dice et al. close with hardware support and
-    // the fault-seeded unsafety test drives deterministically.
-    if (serial_lock().serial_requested())
-      tx_abort(tx, AbortCause::SerialPending);
-    if (ob & obs::kTraceBit)
-      trace::emit(trace::Event::LazySubscribe, AbortCause::None, tx.site,
-                  static_cast<std::uint16_t>(tx.attempts));
-  }
   if (tx.hwrites.empty()) {
     // Read-only: every read left the subscribed stripes on one validated
     // consistent cut, so there is nothing to publish or re-check.
-    if (tx.htm_lazy) count(tx, Ctr::lazy_sub_commits, 1, ob);
     return;
   }
 
@@ -411,8 +397,7 @@ void htm_commit(TxDesc& tx) {
                                 std::memory_order_release);
   // Counted after the point of no return so stripe_bumps tallies published
   // commits only: stripe_bumps == stripes bumped visible to other readers.
-  count(tx, Ctr::stripe_bumps, nw, ob);
-  if (tx.htm_lazy) count(tx, Ctr::lazy_sub_commits, 1, ob);
+  count(tx, Ctr::stripe_bumps, nw);
 }
 
 }  // namespace
@@ -549,6 +534,7 @@ void grace_sync(TxDesc& tx) {
         g.scan_ns_total.fetch_add(scan_ns, std::memory_order_relaxed);
       }
       g.completed.store(pass, std::memory_order_seq_cst);
+      maybe_perturb(s, fault::Hook::GracePublish);
       g.scanner.store(0, std::memory_order_seq_cst);
       if (g.parked.load(std::memory_order_seq_cst) != 0)
         g.completed.notify_all();
@@ -557,9 +543,11 @@ void grace_sync(TxDesc& tx) {
       continue;  // pass >= target: the loop condition now fails
     }
     // A pass is in flight: piggyback. Spin briefly, then park on
-    // `completed` — but only while a scanner is active, which guarantees
-    // the word will change and be notified. If the scanner finished
-    // between our checks, loop around and compete for the token instead.
+    // `completed` — but only while pass c+1 has begun (started != c), which
+    // guarantees the word will change and be notified. A scanner that has
+    // already published c but still holds its token will never move the
+    // word again, so parking on it then strands the requester: loop around
+    // and compete for the token instead.
     const std::uint64_t c = g.completed.load(std::memory_order_seq_cst);
     if (c >= target) break;
     waited = true;
@@ -573,7 +561,7 @@ void grace_sync(TxDesc& tx) {
     maybe_perturb(s, fault::Hook::GraceWait);
     g.parked.fetch_add(1, std::memory_order_seq_cst);
     if (g.completed.load(std::memory_order_seq_cst) == c &&
-        g.scanner.load(std::memory_order_seq_cst) != 0) {
+        g.started.load(std::memory_order_seq_cst) != c) {
       s.bump(s.parked_waits);
       g.completed.wait(c, std::memory_order_seq_cst);
     }
@@ -649,7 +637,7 @@ void quiesce_wait(TxDesc& tx, bool all_domains) {
   const RuntimeConfig& cfg = config();
   // The governor's stall detector also needs the wait measured when the
   // obs layer is dark.
-  const bool stall_chk = cfg.governor && cfg.watchdog_stall_ns != 0;
+  const bool stall_chk = cfg.watchdog_stall_ns != 0;
   const std::uint64_t t0 = (ob || stall_chk) ? now_ns() : 0;
   if (config().multi_domain && !all_domains) {
     // Ordering-only quiesce, filtered to the transaction's own domain
@@ -698,8 +686,8 @@ void tm_private_free(void* p) {
   TxStats& s = st(tx);
   if (tx.in_txn()) {
     // Inside a section the ordinary deferred-free path already provides the
-    // right lifetime (post-commit limbo, or the mode-aware serial-exit
-    // routing above).
+    // right lifetime (post-commit limbo, or the serial exit's free once its
+    // write lock has drained every reader).
     tx.frees.push_back(p);
     tx.freed_memory = true;
     return;
@@ -750,15 +738,7 @@ void tx_begin_speculative(TxDesc& tx) {
   tx.is_serial = false;
   tx.depth = 1;
   tx.clear_logs();
-  tx.htm_lazy = tx.access == AccessMode::Htm &&
-                cfg.htm_subscription == HtmSubscription::Lazy;
-  tx.sl_held = false;
-  if (tx.htm_lazy) {
-    // Lazy subscription: the fallback lock is examined only at commit, so
-    // the attempt is NOT registered as a reader. A serial writer therefore
-    // neither waits for this transaction nor aborts it mid-flight — the
-    // deliberate reproduction of the unsafe lazy-subscription variant.
-  } else if (tx.access == AccessMode::Htm) {
+  if (tx.access == AccessMode::Htm) {
     // Fallback-lock subscription: hardware elision reads the serial lock
     // inside the transaction at xbegin, so a pending writer kills the
     // attempt on the spot — it cannot be waited out the way the STM modes'
@@ -771,10 +751,8 @@ void tx_begin_speculative(TxDesc& tx) {
       if (ob) tx.obs_t0 = now_ns();
       tx_abort_at_begin(tx, AbortCause::SerialPending);
     }
-    tx.sl_held = true;
   } else {
     serial_lock().read_lock(*tx.slot);
-    tx.sl_held = true;
   }
   epoch_enter(tx);
   const std::uint32_t ob = obs::flags();
@@ -807,10 +785,7 @@ void tx_commit_speculative(TxDesc& tx) {
   else
     htm_commit(tx);
   epoch_exit(tx);
-  if (tx.sl_held) {
-    serial_lock().read_unlock(*tx.slot);
-    tx.sl_held = false;
-  }
+  serial_lock().read_unlock(*tx.slot);
   const std::uint32_t ob = obs::flags();
   count(tx, Ctr::commits, 1, ob);
   if (ob) obs_attempt_end(tx, ob, trace::Event::Commit, AbortCause::None, true);
@@ -899,10 +874,7 @@ void tx_abort(TxDesc& tx, AbortCause cause) {
                           [&](auto p) { decltype(p)::rollback(tx); });
   // HTM rollback is trivial: buffered writes are simply dropped.
   epoch_exit(tx);
-  if (tx.sl_held) {
-    serial_lock().read_unlock(*tx.slot);
-    tx.sl_held = false;
-  }
+  serial_lock().read_unlock(*tx.slot);
   const std::uint32_t ob = obs::flags();
   count(tx, cause, ob);
   if (ob) obs_attempt_end(tx, ob, trace::Event::Abort, cause, true);
@@ -919,10 +891,7 @@ void tx_rollback_for_exception(TxDesc& tx) {
     stm_protocol_dispatch(tx.algo,
                           [&](auto p) { decltype(p)::rollback(tx); });
   epoch_exit(tx);
-  if (tx.sl_held) {
-    serial_lock().read_unlock(*tx.slot);
-    tx.sl_held = false;
-  }
+  serial_lock().read_unlock(*tx.slot);
   const std::uint32_t ob = obs::flags();
   count(tx, AbortCause::UserExplicit, ob);
   if (ob)
@@ -959,32 +928,15 @@ void tx_serial_enter(TxDesc& tx) {
 }
 
 void tx_serial_exit(TxDesc& tx) {
-  // The write lock drains every SUBSCRIBING reader, but a lazy-subscription
-  // simulated-HTM attempt (HtmSubscription::Lazy) holds no serial-lock
-  // reader slot and looks at the lock only at commit: such a zombie can
-  // still issue one value-validated load of anything this section frees.
-  // Mode-aware routing: with HTM readers in flight, frees park in limbo
-  // (their grace ticket waits the zombies out) instead of freeing now, and
-  // the lock-based limbo self-certification below is forfeited.
-  const bool htm_risk = htm_readers_possible();
-  if (!tx.frees.empty()) {
-    if (htm_risk) {
-      count(tx, Ctr::htm_routed_frees, tx.frees.size());
-      limbo_enqueue(tx);
-    } else {
-      // No concurrent readers can exist: frees are immediate.
-      for (void* p : tx.frees) ::operator delete(p);
-      st(tx).bump(st(tx).tm_frees, tx.frees.size());
-      tx.frees.clear();
-    }
-  }
+  // No concurrent transactions exist: frees are immediate, no quiescence.
+  for (void* p : tx.frees) ::operator delete(p);
+  if (!tx.frees.empty()) st(tx).bump(st(tx).tm_frees, tx.frees.size());
+  tx.frees.clear();
+  // The write lock drained every reader, so a full grace period has
+  // trivially elapsed for anything this thread had in limbo: certify and
+  // drain it while the storage is provably unreferenced.
   if (!tx.limbo.empty()) {
-    // The write lock drained every subscribing reader, so a full grace
-    // period has trivially elapsed for anything this thread had in limbo:
-    // certify and drain it while the storage is provably unreferenced —
-    // unless an unsubscribed HTM zombie may still hold references, in
-    // which case batches wait for their genuine grace tickets.
-    if (!htm_risk) tx.limbo_certified = tx.limbo_seq;
+    tx.limbo_certified = tx.limbo_seq;
     limbo_drain(tx, /*force=*/false);
   }
   epoch_exit(tx);

@@ -112,6 +112,7 @@ constexpr NameMap kHookNames[] = {
     {"epoch_exit", static_cast<int>(Hook::EpochExit)},
     {"epoch_scan", static_cast<int>(Hook::EpochScan)},
     {"grace_wait", static_cast<int>(Hook::GraceWait)},
+    {"grace_publish", static_cast<int>(Hook::GracePublish)},
     {"cv_enqueue", static_cast<int>(Hook::CvEnqueue)},
     {"cv_timeout", static_cast<int>(Hook::CvTimeout)},
     {"gov_drain", static_cast<int>(Hook::GovDrain)},

@@ -11,8 +11,9 @@
 //     synchronous limbo flushes.
 //   * Perturbation — injectable yield/sleep delays inside the seq_cst
 //     Dekker handshake windows: the serial lock's read back-out and writer
-//     drain/unlock, epoch exit/scan parking, grace-period piggyback waits,
-//     and tx_condvar's commit->enqueue->sleep and timeout->withdraw races.
+//     drain/unlock, epoch exit/scan parking, grace-period piggyback waits
+//     and pass publication, and tx_condvar's commit->enqueue->sleep and
+//     timeout->withdraw races.
 //   * Reproducibility — every decision is a pure function of
 //     (seed, stream, hook, per-thread event counter, rule index); nothing
 //     reads the wall clock or a global RNG, so the same seed over the same
@@ -53,6 +54,8 @@ enum class Hook : std::uint8_t {
   EpochExit,      ///< quiescence: before the epoch-exit seq bump
   EpochScan,      ///< quiescence: scanner about to park on a straggler
   GraceWait,      ///< shared grace period: piggybacker about to park
+  GracePublish,   ///< shared grace period: scanner between publishing its
+                  ///< pass and releasing the scanner token
   CvEnqueue,      ///< tx_condvar: committed wait, before enqueue+sleep
   CvTimeout,      ///< tx_condvar: timed out, before the withdraw attempt
   GovDrain,       ///< governor: before a serial-pending drain wait

@@ -25,7 +25,9 @@
 //     progress guarantee the dispositions alone cannot give (an endless
 //     drain/retry cycle is otherwise budget-neutral).
 //
-// config().governor = false restores the cause-blind legacy policy; the
+// Every retry goes through the governor. A cause-blind policy is a TxnAttrs
+// table mapping every cause but Unsafe to one disposition, with the
+// watchdog and the storm gate switched off through their knobs; the
 // lemming-effect benchmark (bench/abl_htm_retry.cpp) measures the gap.
 #pragma once
 

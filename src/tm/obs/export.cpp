@@ -351,15 +351,6 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
                    r.slot, static_cast<double>(r.ts_ns) / 1e3,
                    json_escape(site_name).c_str(), r.rset);
         break;
-      case trace::Event::LazySubscribe:
-        sep();
-        append_fmt(out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"t\","
-                   "\"cat\":\"htm\",\"name\":\"lazy-subscribe\","
-                   "\"ts\":%.3f,\"args\":{\"site\":\"%s\"}}",
-                   r.slot, static_cast<double>(r.ts_ns) / 1e3,
-                   json_escape(site_name).c_str());
-        break;
       case trace::Event::CtlDegradedEnter:
         name_ctl_track();
         degraded_open_ns = r.ts_ns;

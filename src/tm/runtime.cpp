@@ -65,17 +65,10 @@ const char* validate_config(const RuntimeConfig& cfg) noexcept {
   if (cfg.htm_seq_stripes == 0 || cfg.htm_seq_stripes > kHtmStripeMax ||
       (cfg.htm_seq_stripes & (cfg.htm_seq_stripes - 1)) != 0)
     return "htm_seq_stripes must be a power of two in [1, kHtmStripeMax]";
-  if (cfg.stm_algo == StmAlgo::TicToc &&
-      cfg.stm_clock_mode != StmClockMode::Eager)
-    return "stm_clock_mode applies only to ml_wt: tictoc has no global "
-           "clock (leave stm_clock_mode at Eager with stm_algo=tictoc)";
   if (cfg.metrics_period_ms == 0) return "metrics_period_ms must be >= 1";
   if (cfg.metrics_history == 0) return "metrics_history must be >= 1";
   if (cfg.controller && !cfg.metrics)
     return "controller requires the interval-metrics subsystem (metrics)";
-  if (cfg.controller && !cfg.governor)
-    return "controller requires the governor (its plans apply through the "
-           "governor's disposition seam)";
   if (cfg.ctl_period_windows <= 0) return "ctl_period_windows must be >= 1";
   if (cfg.ctl_min_samples == 0) return "ctl_min_samples must be >= 1";
   if (cfg.ctl_confidence == 0) return "ctl_confidence must be >= 1";
@@ -188,22 +181,6 @@ const char* to_string(AbortCause c) noexcept {
   return "?";
 }
 
-const char* to_string(HtmSubscription s) noexcept {
-  switch (s) {
-    case HtmSubscription::Eager: return "eager";
-    case HtmSubscription::Lazy: return "lazy";
-  }
-  return "?";
-}
-
-const char* to_string(StmClockMode m) noexcept {
-  switch (m) {
-    case StmClockMode::Eager: return "eager";
-    case StmClockMode::Deferred: return "deferred";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Statistics
 // ---------------------------------------------------------------------------
@@ -255,8 +232,7 @@ std::string StatsSnapshot::report() const {
       "  user-explicit       %12llu\n"
       "  spurious (sim)      %12llu\n"
       "  stripe-busy         %12llu\n"
-      "stripe bumps/f-revals %12llu / %llu (lazy-sub commits %llu)\n"
-      "gclock advances (GV5) %12llu\n"
+      "stripe bumps/f-revals %12llu / %llu\n"
       "tictoc ext ok/fail    %12llu / %llu (lock waits %llu, timeouts %llu)\n"
       "quiesce calls/waits   %12llu / %llu (spins %llu, blocked %.3f ms)\n"
       "grace scans/shared    %12llu / %llu (parked waits %llu)\n"
@@ -290,8 +266,6 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)aborts[static_cast<int>(AbortCause::StripeBusy)],
       (unsigned long long)stripe_bumps,
       (unsigned long long)stripe_false_revalidations,
-      (unsigned long long)lazy_sub_commits,
-      (unsigned long long)gclock_advances,
       (unsigned long long)tictoc_extensions,
       (unsigned long long)tictoc_extension_fails,
       (unsigned long long)tictoc_wts_waits,

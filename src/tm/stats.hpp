@@ -56,12 +56,12 @@ namespace tle {
   G(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")            \
   G(noquiesce_ignored_free, "skips denied: txn freed memory")                 \
   G(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")    \
-  S(htm_routed_frees, htm_routed_frees, 17,                                   \
-    "engine frees routed to limbo: HTM readers in-flight")                    \
+  S(htm_routed_frees, htm_routed_frees, 16,                                   \
+    "always 0: serial exits drain HTM readers (kept for perfbench)")          \
   G(priv_immediate_frees, "tm_private_free released immediately")             \
-  S(priv_limbo_routed, priv_limbo_routed, 18,                                 \
+  S(priv_limbo_routed, priv_limbo_routed, 17,                                 \
     "tm_private_free routed through limbo")                                   \
-  S(audit_hazard_arms, audit_hazard_arms, 19,                                 \
+  S(audit_hazard_arms, audit_hazard_arms, 18,                                 \
     "privatization hazards armed by unquiesced commits")                      \
   G(tm_allocs, "transactional allocations")                                   \
   G(tm_frees, "transactional frees")                                          \
@@ -76,16 +76,13 @@ namespace tle {
     "commit-sequence stripes acquired by HTM commits")                        \
   S(stripe_false_revalidations, stripe_false_revalidations, 11,               \
     "stripe revalidations with no value change")                              \
-  S(lazy_sub_commits, lazy_sub_commits, 12,                                   \
-    "HTM commits under lazy fallback-lock subscription")                      \
-  G(gclock_advances, "deferred-clock CAS advances by readers (GV5)")          \
-  S(tictoc_extensions, tictoc_extensions, 13,                                 \
+  S(tictoc_extensions, tictoc_extensions, 12,                                 \
     "tictoc read-entry rts extensions (CAS bumps)")                           \
-  S(tictoc_extension_fails, tictoc_extension_fails, 14,                       \
+  S(tictoc_extension_fails, tictoc_extension_fails, 13,                       \
     "tictoc extensions failed: value changed")                                \
-  S(tictoc_wts_waits, tictoc_wts_waits, 15,                                   \
+  S(tictoc_wts_waits, tictoc_wts_waits, 14,                                   \
     "tictoc bounded waits on a locked orec")                                  \
-  S(tictoc_lock_timeouts, tictoc_lock_timeouts, 16,                           \
+  S(tictoc_lock_timeouts, tictoc_lock_timeouts, 15,                           \
     "tictoc bounded lock waits that expired")                                 \
   G(faults_injected, "aborts fired by the fault-injection plan")              \
   G(fault_delays, "schedule perturbations executed by the plan")              \

@@ -57,7 +57,6 @@ const char* to_string(Event e) noexcept {
     case Event::StormExit: return "storm-exit";
     case Event::WatchdogEscalate: return "watchdog-escalate";
     case Event::StripeRevalidate: return "stripe-revalidate";
-    case Event::LazySubscribe: return "lazy-subscribe";
     case Event::CtlPlanChange: return "ctl-plan-change";
     case Event::CtlDegradedEnter: return "ctl-degraded-enter";
     case Event::CtlDegradedExit: return "ctl-degraded-exit";

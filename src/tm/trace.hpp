@@ -36,7 +36,6 @@ enum class Event : std::uint8_t {
                      ///< (dur_ns carries the stall length for stalls)
   StripeRevalidate,  ///< HTM: a subscribed commit stripe moved and was
                      ///< value-revalidated (rset carries the stripe index)
-  LazySubscribe,     ///< HTM: commit-time fallback-lock check (lazy mode)
   CtlPlanChange,     ///< controller: a site's plan changed (cause recorded;
                      ///< retry carries the new action, rset the dominant mix)
   CtlDegradedEnter,  ///< controller: global degraded mode tripped

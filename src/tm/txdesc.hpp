@@ -293,15 +293,12 @@ struct TxDesc {
 
   // --- STM -------------------------------------------------------------
   std::uint64_t rv = 0;   ///< validity timestamp (snapshot)
-  /// Deferred-clock mode (GV5): highest wv this thread ever committed at.
-  /// Persists across transactions — per-thread monotonicity keeps a thread's
-  /// own commit timestamps strictly increasing without touching gclock.
-  std::uint64_t clock_cache = 0;
-  /// Deferred-clock mode: max pre-lock timestamp among owned orecs this
-  /// transaction. wv must exceed it so per-orec timestamps stay strictly
-  /// increasing (two same-wv commits re-releasing one orec at an identical
-  /// word would defeat readers' validation).
-  std::uint64_t wv_floor = 0;
+  // Governor state updated at every commit or abort, placed here to keep
+  // the fields below at the cache-line offsets they were measured at.
+  std::uint64_t txn_start_ns = 0;  ///< watchdog stamp: first abort (or first
+                                   ///< gated wait) of this logical txn
+  unsigned win_attempts = 0;       ///< storm window: attempts not yet folded
+  unsigned win_aborts = 0;         ///< storm window: aborts not yet folded
   bool gl_writer = false; ///< gl_wt: this txn holds the global write lock
   bool read_only = true;
   std::vector<ReadEntry> reads;
@@ -334,8 +331,6 @@ struct TxDesc {
   LineTracker rcap;  ///< read-set capacity model
   LineTracker wcap;  ///< write-set capacity model
   bool cap_configured = false;
-  bool htm_lazy = false;  ///< this attempt uses lazy fallback subscription
-  bool sl_held = false;   ///< this attempt holds a serial-lock reader slot
 
   // Per-stripe snapshot state. A stripe becomes "subscribed" on the first
   // read it covers: hstripe_snap[s] then holds the even sequence value the
@@ -409,12 +404,11 @@ struct TxDesc {
   // Touched only at attempt boundaries (begin/abort/commit), never on the
   // per-access hot path — kept out of the prefix above so the section-state
   // and read/write-set index fields keep their PR-4 cache-line placement.
+  // txn_start_ns and the storm window counters sit after `rv` instead.
   unsigned budget_used = 0;    ///< subset of `attempts` that consumed retry
                                ///< budget (drain waits are free — governor)
   /// Per-section gov::Disposition override by cause (0 = Inherit).
   std::uint8_t attr_disp[static_cast<int>(AbortCause::kCount)] = {};
-  std::uint64_t txn_start_ns = 0;  ///< watchdog stamp: first abort (or first
-                                   ///< gated wait) of this logical txn
   /// Controller plan applied to this logical transaction (ctl::apply, once
   /// per top-level section). Resolution order in gov::on_abort: per-section
   /// TxnAttrs override, then these, then the global defaults. Read only when
@@ -422,8 +416,6 @@ struct TxDesc {
   int ctl_retries = -1;            ///< controller retry budget (-1 = none)
   std::uint8_t ctl_disp[static_cast<int>(AbortCause::kCount)] = {};
   bool storm_token = false;        ///< holds a storm-gate admission token
-  unsigned win_attempts = 0;       ///< storm window: attempts not yet folded
-  unsigned win_aborts = 0;         ///< storm window: aborts not yet folded
 
   Xoshiro256 backoff_rng{0xC0FFEE};
 
@@ -455,7 +447,6 @@ struct TxDesc {
     tt_read_idx.new_txn();
     tt_write_idx.new_txn();
     stripes_new_txn();
-    wv_floor = 0;
     tt_rv = 0;
     allocs.clear();
     frees.clear();

@@ -126,12 +126,6 @@ TEST(ControlConfig, ValidateRejectsNonsensicalKnobs) {
   c.metrics = false;
   EXPECT_NE(validate_config(c), nullptr);
 
-  // ... and without the governor it has no actuator.
-  c = RuntimeConfig{};
-  c.controller = true;
-  c.governor = false;
-  EXPECT_NE(validate_config(c), nullptr);
-
   c = RuntimeConfig{};
   c.ctl_period_windows = 0;
   EXPECT_NE(validate_config(c), nullptr);

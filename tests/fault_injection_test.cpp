@@ -3,8 +3,8 @@
 // matrix with recovery assertions, seed determinism, forced serial/flush,
 // and the condvar regressions the perturbation hooks make drivable — the
 // monotonic-clock timed wait, the intent-bounded signal bank, the
-// commit->enqueue and timeout->withdraw race windows, and the serial lock's
-// read back-out missed-wakeup.
+// commit->enqueue and timeout->withdraw race windows, the serial lock's
+// read back-out missed-wakeup, and the grace requester's lost wake-up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -314,12 +314,33 @@ TEST(FaultDeterminismTest, SameSeedSameSequenceDisjointThreadsHtm) {
   config().htm_spurious_abort_rate = 0.0;
   // Keep every retry speculative: with no serial fallback and disjoint data
   // there are no organic aborts, so cross-thread timing cannot change the
-  // per-thread event counts and the two runs must match exactly. The
-  // governor would route the injected capacity aborts to serial (and its
-  // serial entries would abort the other threads), so it stays off here.
+  // per-thread event counts and the two runs must match exactly. Injected
+  // capacity aborts back off instead of going serial (a serial entry would
+  // abort the other threads), the budget never runs out, and the watchdog
+  // never escalates.
   config().htm_max_retries = 1 << 20;
-  config().governor = false;
-  tm_var<long> vars[4];
+  config().watchdog_max_attempts = 0;
+  config().watchdog_deadline_ns = 0;
+  const tle::TxnAttrs attrs = tle::TxnAttrs{}.with(
+      AbortCause::Capacity, tle::gov::Disposition::Backoff);
+  // Each thread's variable gets its own 512-byte block on its own commit
+  // stripe. Sharing one stripe lets a slow commit (sanitizer timing) expire
+  // another thread's bounded stripe wait: an organic StripeBusy abort that
+  // shifts that thread's event counts.
+  struct alignas(512) Block {
+    tm_var<long> v;
+  };
+  Block blocks[32];
+  bool taken[tle::kHtmStripeMax] = {};
+  std::vector<tm_var<long>*> vars;
+  for (Block& b : blocks) {
+    const unsigned s = tle::stripe_of(b.v);
+    if (vars.size() < 4 && !taken[s]) {
+      taken[s] = true;
+      vars.push_back(&b.v);
+    }
+  }
+  ASSERT_EQ(vars.size(), 4u) << "32 blocks cover fewer than 4 stripes";
   auto run = [&]() -> fault::Counts {
     EXPECT_TRUE(fault::install_spec(
         "spurious@commit=0.05,conflict@read=0.02,capacity@write=0.01",
@@ -327,7 +348,8 @@ TEST(FaultDeterminismTest, SameSeedSameSequenceDisjointThreadsHtm) {
     run_threads(4, [&](int tid) {
       fault::set_thread_stream(static_cast<std::uint32_t>(200 + tid));
       for (int i = 0; i < 1500; ++i)
-        atomic_do([&](TxContext& tx) { tx.fetch_add(vars[tid], 1L); });
+        atomic_do(attrs,
+                  [&](TxContext& tx) { tx.fetch_add(*vars[tid], 1L); });
     });
     const fault::Counts c = fault::snapshot();
     fault::clear();
@@ -373,6 +395,99 @@ TEST(FaultPerturbTest, SerialWriterSurvivesDelayedReaderBackout) {
   for (auto& t : readers) t.join();
   EXPECT_GT(fault::snapshot().delays_total(), 0u);
   EXPECT_GT(aggregate_stats().fault_delays, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Schedule perturbation: the grace scanner's publish window
+// ---------------------------------------------------------------------------
+
+/// A thread holding a transaction open until released.
+class OpenPeer {
+ public:
+  explicit OpenPeer(tm_var<long>& v)
+      : t_([this, &v] {
+          atomic_do([&](TxContext& tx) {
+            (void)tx.read(v);
+            in_.store(true);
+            while (!release_.load()) std::this_thread::yield();
+          });
+        }) {
+    while (!in_.load()) std::this_thread::yield();
+  }
+  ~OpenPeer() { close(); }
+  void close() {
+    release_.store(true);
+    if (t_.joinable()) t_.join();
+  }
+
+ private:
+  std::atomic<bool> in_{false};
+  std::atomic<bool> release_{false};
+  std::thread t_;
+};
+
+/// Yield until `done()` holds or `limit` passes; returns done().
+template <typename P>
+bool await_for(std::chrono::milliseconds limit, P&& done) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  return done();
+}
+
+// Deterministic re-trigger of a lost wake-up in the shared grace period: a
+// requester that piggybacked after the scanner published its pass but
+// before it dropped the scanner token parked on a `completed` value that no
+// pass in flight would change, and slept until some other thread scanned.
+// The plan holds the scanner in that window, and a peer in flight keeps
+// the requester off the quiet fast path. A stranded requester fails the
+// test and is then freed by one more grace pass, so a regression fails
+// instead of hanging.
+TEST(FaultPerturbTest, GraceRequesterSurvivesDelayedScannerPublish) {
+  // No post-commit quiescence: only the tm_fence() calls below may take
+  // part in grace periods, not the peers' own commits.
+  ModeGuard g(ExecMode::StmCondVar, tle::QuiescePolicy::Never, false);
+  PlanGuard pg;
+  ASSERT_TRUE(fault::install_spec("delay@grace_publish=1/100000000", 17));
+  tle::GraceState& grace = tle::grace_state();
+  tm_var<long> v{0};
+  // Run a grace pass on a new thread; wait until it holds the scanner token.
+  auto start_scan = [&grace] {
+    const std::uint64_t started = grace.started.load();
+    std::thread t([] { tle::tm_fence(); });
+    EXPECT_TRUE(
+        await_for(10s, [&] { return grace.started.load() != started; }));
+    return t;
+  };
+
+  // The scanner finds peer 1 in flight, takes the token and scans; peer 1
+  // leaves, and the scanner publishes its pass and sleeps in the window.
+  OpenPeer peer1(v);
+  std::thread scanner = start_scan();
+  peer1.close();
+  EXPECT_TRUE(await_for(10s, [] {
+    return fault::snapshot().delays[hook_index(fault::Hook::GracePublish)] >
+           0;
+  }));
+
+  // The requester arrives in the window with peer 2 in flight.
+  OpenPeer peer2(v);
+  std::atomic<bool> requester_done{false};
+  std::thread requester([&] {
+    tle::tm_fence();
+    requester_done.store(true);
+  });
+  scanner.join();
+  peer2.close();
+  const bool done = await_for(2s, [&] { return requester_done.load(); });
+  EXPECT_TRUE(done) << "grace requester stranded after the scanner's publish";
+  if (!done) {
+    OpenPeer peer3(v);
+    std::thread rescuer = start_scan();
+    peer3.close();
+    rescuer.join();
+  }
+  requester.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,17 @@ struct GovGuard {
 
 StatsSnapshot stats() { return aggregate_stats(); }
 
+/// The cause-blind retry policy as a TxnAttrs table: every cause but Unsafe
+/// backs off and charges the budget, so the section goes serial after the
+/// retry limit whatever its aborts were.
+TxnAttrs cause_blind() {
+  TxnAttrs attrs;
+  for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c)
+    if (static_cast<AbortCause>(c) != AbortCause::Unsafe)
+      attrs.with(static_cast<AbortCause>(c), gov::Disposition::Backoff);
+  return attrs;
+}
+
 // ---------------------------------------------------------------------------
 // Policy table
 // ---------------------------------------------------------------------------
@@ -144,36 +155,34 @@ TEST(GovernorPolicy, ZeroGlobalLimitMeansOneAttempt) {
   EXPECT_EQ(s.serial_commits, 1u);
 }
 
-// Same semantics through TxnAttrs, and with the governor OFF (the legacy
-// path honours the -1 sentinel and the 0 clamp identically).
+// Same semantics through TxnAttrs, under the default table and the
+// cause-blind one.
 TEST(GovernorPolicy, AttrMaxRetriesZeroBothPolicies) {
-  for (bool governor : {true, false}) {
+  for (bool blind : {false, true}) {
     ModeGuard g(ExecMode::StmSpin);
     GovGuard gg;
-    config().governor = governor;
     config().stm_max_retries = 8;  // the attr must override this
     ASSERT_TRUE(fault::install_spec("conflict@read=1", 42));
     tm_var<long> v(0);
-    TxnAttrs attrs;
+    TxnAttrs attrs = blind ? cause_blind() : TxnAttrs{};
     attrs.max_retries = 0;
     atomic_do(attrs, [&](TxContext& tx) { (void)tx.read(v); });
     const StatsSnapshot s = stats();
-    EXPECT_EQ(s.aborts_total(), 1u) << "governor=" << governor;
-    EXPECT_EQ(s.serial_fallbacks, 1u) << "governor=" << governor;
-    EXPECT_EQ(s.serial_commits, 1u) << "governor=" << governor;
+    EXPECT_EQ(s.aborts_total(), 1u) << "blind=" << blind;
+    EXPECT_EQ(s.serial_fallbacks, 1u) << "blind=" << blind;
+    EXPECT_EQ(s.serial_commits, 1u) << "blind=" << blind;
   }
 }
 
-// htm_retries counting with the governor off: N aborts with limit N means
-// N-1 retries plus one serial fallback (the old code counted N).
+// htm_retries counting under the cause-blind table: N aborts with limit N
+// means N-1 retries plus one serial fallback (the old code counted N).
 TEST(GovernorPolicy, LegacyHtmRetriesExcludeTheFallbackAbort) {
   ModeGuard g(ExecMode::Htm);
   GovGuard gg;
-  config().governor = false;
   config().htm_max_retries = 2;
   config().htm_spurious_abort_rate = 1.0;
   tm_var<long> v(0);
-  atomic_do([&](TxContext& tx) { tx.fetch_add(v, 1L); });
+  atomic_do(cause_blind(), [&](TxContext& tx) { tx.fetch_add(v, 1L); });
   const StatsSnapshot s = stats();
   EXPECT_EQ(s.aborts[static_cast<int>(AbortCause::Spurious)], 2u);
   EXPECT_EQ(s.htm_retries, 1u);

@@ -408,7 +408,9 @@ TEST(MetricsStress, ConcurrentTicksConserveCommitCounts) {
 
 TEST(MetricsDeterministic, SameSeedRunsAreByteIdentical) {
   ModeGuard g(ExecMode::StmCondVar);
-  config().governor = false;  // legacy retry policy: no timing-fed state
+  // The retry policy's one wall-clock input: a preempted run could hit the
+  // watchdog deadline in one pass and not the other.
+  config().watchdog_deadline_ns = 0;
   MetricsGuard mg;
   obs::metrics_set_deterministic(true);
 

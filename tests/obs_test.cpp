@@ -433,11 +433,6 @@ TEST(ObsConservation, SiteRowsSumToThreadTotalsAndResetToZero) {
   atomic_do(TLE_TX_SITE("obs/conserve_pending"), bump);
   writer.join();
 
-  // One attempt under lazy fallback-lock subscription.
-  config().htm_subscription = HtmSubscription::Lazy;
-  atomic_do(TLE_TX_SITE("obs/conserve_lazy"), bump);
-  config().htm_subscription = HtmSubscription::Eager;
-
   // A privatizing free while an HTM reader is in flight goes to limbo.
   with_peer_in_flight(TLE_TX_SITE("obs/conserve_htm_reader"),
                       [] { tm_private_free(::operator new(16)); });
@@ -454,7 +449,6 @@ TEST(ObsConservation, SiteRowsSumToThreadTotalsAndResetToZero) {
 
   const StatsSnapshot snap = aggregate_stats();
   EXPECT_GT(snap.aborts[static_cast<int>(AbortCause::SerialPending)], 0u);
-  EXPECT_GT(snap.lazy_sub_commits, 0u);
   EXPECT_GT(snap.priv_limbo_routed, 0u);
   EXPECT_GT(snap.audit_hazard_arms, 0u);
 

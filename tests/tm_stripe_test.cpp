@@ -1,5 +1,5 @@
-// Tests for the striped simulated-HTM commit sequence, subscription
-// policy, and the GV5-style deferred STM clock:
+// Tests for the striped simulated-HTM commit sequence and its fallback-lock
+// subscription:
 //
 //   * stripe mapping determinism, config validation, stripe_of() agreement;
 //   * the intersection matrix: a commit on a foreign stripe is invisible to
@@ -7,14 +7,13 @@
 //     false revalidation, a true conflict still aborts and retries;
 //   * htm_seq_stripes=1 reproduces the old single-sequence protocol;
 //   * stripe_bumps accounting per distinct write stripe;
-//   * the lazy-subscription unsafety: a serial-writer window that starts
-//     and finishes inside a lazy HTM transaction yields the forbidden
-//     mixed-snapshot (zombie) commit, while eager per-access subscription
-//     provably aborts the reader instead;
+//   * the zombie-commit regression (Dice et al.): a serial-writer window
+//     that would start and finish inside an HTM reader cannot, because
+//     eager subscription aborts the reader instead of committing a mixed
+//     snapshot;
 //   * StripeBusy is injectable by name, drained budget-free, and bounded
 //     by the watchdog;
-//   * seeded fault plans replay byte-identically over this scenario;
-//   * the deferred (GV5) clock mode keeps counter workloads exact.
+//   * seeded fault plans replay byte-identically over this scenario.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,12 +33,10 @@ using tle::aggregate_stats;
 using tle::atomic_do;
 using tle::config;
 using tle::ExecMode;
-using tle::HtmSubscription;
 using tle::htm_stripe_index;
 using tle::kHtmStripeMax;
 using tle::reset_stats;
 using tle::StatsSnapshot;
-using tle::StmClockMode;
 using tle::stripe_of;
 using tle::synchronized_do;
 using tle::tm_var;
@@ -289,7 +286,7 @@ TEST(StripeAccounting, StripedConfigStaysCorrectUnderContention) {
 }
 
 // ---------------------------------------------------------------------------
-// Subscription policy: the lazy zombie commit vs eager immunity
+// Subscription policy: eager subscription forbids the zombie commit
 // ---------------------------------------------------------------------------
 
 /// Drive the Dice et al. interleaving: an HTM reader logs `x`, then a
@@ -317,11 +314,11 @@ ZombieResult run_zombie_scenario() {
     out.r1 = ctx.read(x);
     reader_in.store(true, std::memory_order_release);
     while (!writer_done.load(std::memory_order_acquire)) {
-      // The poll point: each transactional access checks the fallback lock
-      // in eager mode. In lazy mode this read is absorbed by the dedup log
-      // and checks nothing — exactly the hazard under test. (In eager mode
-      // the spin cannot deadlock the writer: the pending-writer poll below
-      // aborts this reader, releasing its read-side hold on the lock.)
+      // The poll point: each transactional access checks the fallback lock.
+      // A subscription that skipped this check (and held no read slot)
+      // would let the whole serial window pass unseen. The spin cannot
+      // deadlock the writer: the pending-writer poll aborts this reader,
+      // releasing its read-side hold on the lock.
       (void)ctx.read(z);
       std::this_thread::yield();
     }
@@ -331,35 +328,19 @@ ZombieResult run_zombie_scenario() {
   return out;
 }
 
-TEST(SubscriptionPolicy, LazyCommitsTheForbiddenMixedSnapshot) {
-  ModeGuard mode(ExecMode::Htm);
-  config().htm_seq_stripes = 16;
-  config().htm_subscription = HtmSubscription::Lazy;
-  reset_stats();
-  const ZombieResult r = run_zombie_scenario();
-  // The zombie: x from before the serial window, y from after it. A single
-  // consistent snapshot can only be (0,0) or (1,1).
-  EXPECT_EQ(r.r1, 0);
-  EXPECT_EQ(r.r2, 1);
-  const StatsSnapshot s = aggregate_stats();
-  EXPECT_GE(s.lazy_sub_commits, 1u);
-  EXPECT_EQ(aborts_of(s, AbortCause::SerialPending), 0u);
-}
-
 TEST(SubscriptionPolicy, EagerAbortsTheReaderInsteadOfCommittingIt) {
   ModeGuard mode(ExecMode::Htm);
   config().htm_seq_stripes = 16;
-  config().htm_subscription = HtmSubscription::Eager;
   reset_stats();
   const ZombieResult r = run_zombie_scenario();
   // The reader held the fallback lock read-side, so the serial window could
   // not complete inside its transaction: the per-access poll killed the
-  // first attempt and the retry saw the whole window's effects.
+  // first attempt and the retry saw the whole window's effects. The zombie
+  // commit would be x from before the window and y from after it (0, 1); a
+  // consistent snapshot is (0, 0) or (1, 1).
   EXPECT_EQ(r.r1, 1);
   EXPECT_EQ(r.r2, 1);
-  const StatsSnapshot s = aggregate_stats();
-  EXPECT_GE(aborts_of(s, AbortCause::SerialPending), 1u);
-  EXPECT_EQ(s.lazy_sub_commits, 0u);
+  EXPECT_GE(aborts_of(aggregate_stats(), AbortCause::SerialPending), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,73 +410,6 @@ TEST(SeededReplay, SameSeedYieldsByteIdenticalInjectionReport) {
   EXPECT_GT(first.injected_total(), 0u);
   EXPECT_TRUE(first == second);
   EXPECT_EQ(first_report, second_report);  // byte-identical replay
-}
-
-// ---------------------------------------------------------------------------
-// Deferred (GV5) STM clock
-// ---------------------------------------------------------------------------
-
-TEST(DeferredClock, CounterWorkloadStaysExact) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Deferred;
-  reset_stats();
-  tm_var<long> a{0}, b{0};
-  constexpr int kThreads = 4;
-  constexpr int kIters = 500;
-  run_threads(kThreads, [&](int) {
-    for (int i = 0; i < kIters; ++i)
-      atomic_do([&](TxContext& ctx) {
-        const long v = ctx.read(a);
-        ctx.write(a, v + 1);
-        ctx.write(b, v + 1);  // invariant: a == b at every commit point
-      });
-  });
-  EXPECT_EQ(a.unsafe_get(), kThreads * kIters);
-  EXPECT_EQ(b.unsafe_get(), kThreads * kIters);
-}
-
-TEST(DeferredClock, ReadersSeeTheInvariantAndMayAdvanceTheClock) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Deferred;
-  reset_stats();
-  tm_var<long> a{0}, b{0};
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      long ra = -1, rb = -1;
-      atomic_do([&](TxContext& ctx) {
-        ra = ctx.read(a);
-        rb = ctx.read(b);
-      });
-      if (ra != rb) torn.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (int i = 0; i < 2000; ++i)
-    atomic_do([&](TxContext& ctx) {
-      const long v = ctx.read(a);
-      ctx.write(a, v + 1);
-      ctx.write(b, v + 1);
-    });
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  // Deferred wv assignment never hands a reader a mixed a/b pair: read-only
-  // commits validate, and stale orecs CAS-advance the clock before extend.
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(a.unsafe_get(), 2000);
-}
-
-TEST(DeferredClock, EagerModeUnchangedByTheKnob) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Eager;
-  reset_stats();
-  tm_var<long> a{0};
-  run_threads(2, [&](int) {
-    for (int i = 0; i < 300; ++i)
-      atomic_do([&](TxContext& ctx) { ctx.fetch_add(a, 1L); });
-  });
-  EXPECT_EQ(a.unsafe_get(), 600);
-  EXPECT_EQ(aggregate_stats().gclock_advances, 0u);  // deferred-only counter
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "pipez/pipeline.hpp"
-#include "tm/control/control.hpp"
 #include "tm/obs/metrics.hpp"
 #include "tm/tm.hpp"
 
@@ -40,19 +39,6 @@ void report_live_metrics() {
       hist.size(), (unsigned long long)hist.back().index,
       (unsigned long long)commits, (unsigned long long)aborts, peak_inflight,
       (unsigned long long)peak_limbo);
-  // TLE_CTL=1 armed the adaptive controller: say what it decided, so a
-  // degraded run is explicable from the console alone.
-  const tle::ctl::Status cs = tle::ctl::status();
-  if (cs.evals) {
-    std::printf(
-        "controller: state=%s mode=%s evals=%llu plan_changes=%llu "
-        "degraded=%llu/%llu mode_switches=%llu flaps=%llu\n",
-        tle::ctl::to_string(cs.state), to_string(tle::live_mode()),
-        (unsigned long long)cs.evals, (unsigned long long)cs.plan_changes,
-        (unsigned long long)cs.degraded_enters,
-        (unsigned long long)cs.degraded_exits,
-        (unsigned long long)cs.mode_switches, (unsigned long long)cs.flaps);
-  }
 }
 
 tle::ExecMode parse_mode(const std::string& s) {

@@ -46,9 +46,6 @@ REQUIRED_COUNTERS = [
     "gov_backoffs", "gov_immediate_retries", "gov_drain_waits",
     "gov_drain_timeouts", "gov_storm_enters", "gov_storm_exits",
     "gov_storm_gated", "gov_watchdog_escalations", "gov_stall_events",
-    "ctl_evals", "ctl_plan_changes", "ctl_forced_serial",
-    "ctl_boost_applied", "ctl_probe_attempts", "ctl_degraded_enters",
-    "ctl_degraded_exits", "ctl_mode_switches", "ctl_flaps",
     "obs_site_overflow",
 ]
 

@@ -268,49 +268,6 @@ def summarize_stm_algo(path):
               f"{acc.get('commits_ratio', 0):.2f}x (>= 1.5 full run)")
 
 
-def summarize_adapt(path):
-    """Adaptive-controller shoot-out table from BENCH_adapt.json
-    ("tle-adapt/v1", emitted by bench/abl_adapt): per-phase ops/s for every
-    static configuration and for the controller, the controller's decision
-    tally (degraded entries/exits, drained mode switches, flaps), and the
-    adaptive-vs-static acceptance ratios (>= 1.0x best, >= 1.5x worst on
-    the full run)."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"  (cannot read {path}: {e})")
-        return
-    if doc.get("schema") != "tle-adapt/v1":
-        print(f"  (unexpected schema {doc.get('schema')!r} in {path})")
-        return
-    print(f"== adapt: controller vs static configurations "
-          f"({doc.get('secs_per_phase', 0)}s/phase, "
-          f"{doc.get('threads', '?')}T) ==")
-    for c in doc.get("cells", []):
-        parts = [f"{p.get('phase', '?')}={p.get('ops_per_sec', 0):.3g}"
-                 for p in c.get("phases", [])]
-        line = (f"  {c.get('config', '?'):12s} "
-                f"total={c.get('total_ops_per_sec', 0):.3g}  "
-                + "  ".join(parts))
-        ctl = c.get("ctl", {})
-        if ctl.get("evals"):
-            line += (f"   (evals={ctl.get('evals', 0)}"
-                     f" plans={ctl.get('plan_changes', 0)}"
-                     f" degraded={ctl.get('degraded_enters', 0)}"
-                     f"/{ctl.get('degraded_exits', 0)}"
-                     f" switches={ctl.get('mode_switches', 0)}"
-                     f" flaps={ctl.get('flaps', 0)}"
-                     f" final={ctl.get('final_mode', '?')})")
-        print(line)
-    acc = doc.get("acceptance", {})
-    if acc.get("vs_best") is not None:
-        print(f"  acceptance: vs best static ({acc.get('best_static', '?')}) "
-              f"{acc.get('vs_best', 0):.2f}x (>= 1.0 full run), vs worst "
-              f"({acc.get('worst_static', '?')}) "
-              f"{acc.get('vs_worst', 0):.2f}x (>= 1.5 full run)")
-
-
 def summarize_obs(path):
     """Per-site profile table from a tle-obs/v1 document (emitted via
     TLE_STATS_DUMP=FILE by any binary linking the TM runtime, or by
@@ -452,9 +409,6 @@ def main():
         if schema == "tle-stm-algo/v1":
             summarize_stm_algo(path)
             return
-        if schema == "tle-adapt/v1":
-            summarize_adapt(path)
-            return
         if schema == "tle-metrics/v1":
             summarize_metrics(path)
             return
@@ -484,10 +438,6 @@ def main():
                             "BENCH_stm_algo.json")
     if os.path.exists(stm_algo):
         summarize_stm_algo(stm_algo)
-
-    adapt = os.path.join(os.path.dirname(path) or ".", "BENCH_adapt.json")
-    if os.path.exists(adapt):
-        summarize_adapt(adapt)
 
     obs = os.path.join(os.path.dirname(path) or ".", "BENCH_obs.json")
     if os.path.exists(obs):

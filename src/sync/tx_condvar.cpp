@@ -205,7 +205,7 @@ void tx_condvar::block(bool timed, std::chrono::nanoseconds timeout) {
 }
 
 void tx_condvar::wait(TxContext& tx) {
-  if (live_mode() == ExecMode::StmSpin) {
+  if (config().mode == ExecMode::StmSpin) {
     // The paper's STM+Spin configuration: no sleeping, just re-poll.
     tx.defer([] { std::this_thread::yield(); });
     return;
@@ -215,7 +215,7 @@ void tx_condvar::wait(TxContext& tx) {
 }
 
 void tx_condvar::wait_for(TxContext& tx, std::chrono::nanoseconds timeout) {
-  if (live_mode() == ExecMode::StmSpin) {
+  if (config().mode == ExecMode::StmSpin) {
     tx.defer([] { std::this_thread::yield(); });
     return;
   }

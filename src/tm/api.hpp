@@ -30,12 +30,6 @@
 #include "tm/obs/site.hpp"
 #include "tm/txdesc.hpp"
 
-namespace tle::ctl {
-// Adaptive-controller transaction-path consult (control/control.hpp); forward
-// declared so the hot-path header does not pull the metrics machinery in.
-void apply(TxDesc& tx) noexcept;
-}  // namespace tle::ctl
-
 namespace tle {
 
 // ---------------------------------------------------------------------------
@@ -303,18 +297,12 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
     tx.force_serial = true;
     tx.stats->bump(tx.stats->fault_forced_serial);
   }
-  const RuntimeConfig& cfg = config();
-  if (live_mode() == ExecMode::Lock) {
+  if (config().mode == ExecMode::Lock) {
     // atomic_do without a mutex in Lock mode: fall back to serial execution
     // (the TMTS "synchronized" semantics).
     run_serial(tx, body);
     return;
   }
-  // Adaptive-controller plan consult: one relaxed plan-table read per
-  // logical transaction. May force serial (degraded mode, serial-planned
-  // sites outside their probe fraction), boost the retry budget, or stamp
-  // per-cause dispositions that resolve below any TxnAttrs the caller set.
-  if (cfg.controller) ctl::apply(tx);
 
   // Storm tokens outlive individual attempts (a retrying transaction keeps
   // its admission); the guard returns a held token on every exit — commit,
@@ -353,7 +341,7 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
     if (gov::on_abort(tx) == gov::Decision::Serial) {
       tx.force_serial = true;
       count(tx, Ctr::serial_fallbacks);
-    } else if (live_mode() == ExecMode::Htm) {
+    } else if (config().mode == ExecMode::Htm) {
       // An HTM "retry" is an abort followed by another hardware attempt;
       // the abort that sends us serial is a fallback, not a retry.
       count(tx, Ctr::htm_retries);
@@ -518,7 +506,7 @@ void run_lock_section(elidable_mutex& m, F&& body, std::uint16_t site = 0) {
 /// ExecMode::Lock acquires `m`; every other mode elides it.
 template <typename F>
 void critical(elidable_mutex& m, F&& body) {
-  if (live_mode() == ExecMode::Lock) {
+  if (config().mode == ExecMode::Lock) {
     detail::run_lock_section(m, std::forward<F>(body));
     return;
   }
@@ -533,7 +521,7 @@ void critical(elidable_mutex& m, F&& body) {
 ///   tle::critical(m, TLE_TX_SITE("videnc/claim_row"), [&](auto& tx) ...);
 template <typename F>
 void critical(elidable_mutex& m, const obs::TxSite& site, F&& body) {
-  if (live_mode() == ExecMode::Lock) {
+  if (config().mode == ExecMode::Lock) {
     detail::run_lock_section(m, std::forward<F>(body), site.id);
     return;
   }
@@ -545,7 +533,7 @@ void critical(elidable_mutex& m, const obs::TxSite& site, F&& body) {
 /// critical() with per-section retry tuning.
 template <typename F>
 void critical(elidable_mutex& m, const TxnAttrs& attrs, F&& body) {
-  if (live_mode() == ExecMode::Lock) {
+  if (config().mode == ExecMode::Lock) {
     detail::run_lock_section(m, std::forward<F>(body));
     return;
   }
@@ -558,7 +546,7 @@ void critical(elidable_mutex& m, const TxnAttrs& attrs, F&& body) {
 template <typename F>
 void critical(elidable_mutex& m, const obs::TxSite& site, const TxnAttrs& attrs,
               F&& body) {
-  if (live_mode() == ExecMode::Lock) {
+  if (config().mode == ExecMode::Lock) {
     detail::run_lock_section(m, std::forward<F>(body), site.id);
     return;
   }

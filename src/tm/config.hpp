@@ -5,7 +5,6 @@
 // independently so the Figure-5 microbenchmarks can sweep it.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -170,12 +169,6 @@ struct RuntimeConfig {
 
   // --- interval metrics (src/tm/obs/metrics.hpp) --------------------------
 
-  /// Master switch for the interval-metrics subsystem. When false the env
-  /// activation (TLE_METRICS_OUT & co) is ignored and the sampler refuses to
-  /// start. The adaptive controller consumes metrics windows, so
-  /// validate_config() rejects controller=true with metrics=false.
-  bool metrics = true;
-
   /// Window length of the background metrics sampler in milliseconds
   /// (TLE_METRICS_PERIOD_MS overrides at startup). Must be >= 1.
   unsigned metrics_period_ms = 100;
@@ -183,65 +176,6 @@ struct RuntimeConfig {
   /// Depth of the retained window ring served by obs::metrics_history()
   /// (TLE_METRICS_HISTORY overrides at startup). Must be >= 1.
   unsigned metrics_history = 64;
-
-  // --- adaptive mode controller (src/tm/control/) -------------------------
-  // Periodic controller that closes the obs→governor loop: classifies each
-  // site from its interval abort-cause mix and re-plans retry budget /
-  // serial disposition through the same override seam TxnAttrs uses, with a
-  // global degraded mode (sustained storms force serial) and gradual
-  // recovery probes. See docs/tm-internals.md "Self-tuning control loop".
-
-  /// Master switch for the controller. Requires metrics (validate_config()).
-  /// Off means zero overhead on the txn path.
-  bool controller = false;
-
-  /// Evaluate once every this many metrics windows (deltas from skipped
-  /// windows are accumulated, not dropped). Must be >= 1; int so a negative
-  /// period is rejected rather than wrapping.
-  int ctl_period_windows = 1;
-
-  /// Minimum speculative attempts a site must show in the accumulated
-  /// interval before the controller classifies it. Must be >= 1.
-  unsigned ctl_min_samples = 64;
-
-  /// Consecutive evaluations that must propose the same (changed) action
-  /// before a site's plan actually changes — the per-site confidence score.
-  /// Must be >= 1.
-  unsigned ctl_confidence = 2;
-
-  /// Evaluations a freshly changed plan is held (no further change, and no
-  /// recovery probing) before the controller reconsiders it.
-  unsigned ctl_hold_windows = 4;
-
-  /// Degraded-mode hysteresis on the global abort ratio (aborts / txn
-  /// starts of the evaluation interval). Trip at >= ctl_trip_ratio for
-  /// ctl_trip_windows consecutive evaluations; a probe interval reads
-  /// healthy at <= ctl_release_ratio. The interval must be open:
-  /// release strictly below trip (validate_config()).
-  double ctl_trip_ratio = 0.90;
-  double ctl_release_ratio = 0.50;
-
-  /// Consecutive storm evaluations (global ratio >= trip, or watchdog
-  /// escalations observed) required to enter degraded mode. Must be >= 1.
-  unsigned ctl_trip_windows = 2;
-
-  /// Initial recovery-probe fraction: 1/2^ctl_probe_shift of attempts are
-  /// re-admitted to speculation while probing; each healthy probe interval
-  /// halves the shift until full speculation is restored. Must be in
-  /// [1, 16] — shift 0 would re-admit everything at once.
-  unsigned ctl_probe_shift = 3;
-
-  /// Retry budget granted to conflict/spurious-dominated sites (the "HTM
-  /// with backoff" plan). Must be >= 0; overrides the global per-mode limit
-  /// but never a per-section TxnAttrs::max_retries.
-  int ctl_boost_retries = 8;
-
-  /// Allow the controller to switch the global ExecMode (HTM <-> STM) under
-  /// a drained serial section when the degraded storm is capacity-dominated.
-  /// Per-site plans never switch modes — mixing per-site STM under a global
-  /// HTM phase is unsound (write-through STM commits bypass the HTM commit
-  /// stripes, so HTM readers would miss them).
-  bool ctl_mode_switch = true;
 
   /// Returns true if `mode` executes critical sections as STM transactions.
   bool is_stm() const noexcept {
@@ -252,22 +186,6 @@ struct RuntimeConfig {
 
 /// The process-wide configuration (defined in runtime.cpp).
 RuntimeConfig& config() noexcept;
-
-/// Relaxed atomic view of config().mode for reads that may race the adaptive
-/// controller's drained mode switch — the only writer that flips the mode
-/// while worker threads exist. The switch itself runs inside a serial
-/// section (no transaction is live), but threads between attempts still
-/// read the byte, so both sides go through atomic_ref. Everything else in
-/// RuntimeConfig keeps the "mutated only between phases" contract.
-inline ExecMode live_mode() noexcept {
-  return std::atomic_ref<ExecMode>(config().mode)
-      .load(std::memory_order_relaxed);
-}
-
-inline void set_live_mode(ExecMode m) noexcept {
-  std::atomic_ref<ExecMode>(config().mode)
-      .store(m, std::memory_order_relaxed);
-}
 
 /// Coherence check for a configuration about to be installed: returns
 /// nullptr when `cfg` is valid, else a static string naming the first

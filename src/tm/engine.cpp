@@ -734,7 +734,7 @@ namespace {
 
 void tx_begin_speculative(TxDesc& tx) {
   const RuntimeConfig& cfg = config();
-  tx.access = live_mode() == ExecMode::Htm ? AccessMode::Htm : AccessMode::Stm;
+  tx.access = cfg.mode == ExecMode::Htm ? AccessMode::Htm : AccessMode::Stm;
   tx.is_serial = false;
   tx.depth = 1;
   tx.clear_logs();

@@ -119,7 +119,6 @@ constexpr NameMap kHookNames[] = {
     {"gov_gate", static_cast<int>(Hook::GovGate)},
     {"tt_commit", static_cast<int>(Hook::TtCommit)},
     {"htm_zombie", static_cast<int>(Hook::HtmZombieLoad)},
-    {"ctl_tick", static_cast<int>(Hook::CtlTick)},
 };
 static_assert(sizeof(kHookNames) / sizeof(kHookNames[0]) == kHookCount);
 

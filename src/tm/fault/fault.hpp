@@ -62,9 +62,6 @@ enum class Hook : std::uint8_t {
   GovGate,        ///< governor: each pass of a storm-gate admission wait
   TtCommit,       ///< tictoc commit: inside the lock->validate->publish window
   HtmZombieLoad,  ///< simulated-HTM read: post-peer-commit, pre-revalidation
-  CtlTick,        ///< adaptive-controller evaluation pass (perturbation
-                  ///< only: delay/yield shift the controller relative to
-                  ///< the workers; abort kinds do not apply off-txn)
   kCount,
 };
 inline constexpr int kHookCount = static_cast<int>(Hook::kCount);

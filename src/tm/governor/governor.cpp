@@ -175,21 +175,17 @@ Decision on_abort(TxDesc& tx) {
   // serial no matter why its attempts keep dying.
   if (watchdog_expired(tx, cfg)) return escalate(tx);
 
-  int limit = live_mode() == ExecMode::Htm ? cfg.htm_max_retries
-                                        : cfg.stm_max_retries;
+  int limit =
+      cfg.mode == ExecMode::Htm ? cfg.htm_max_retries : cfg.stm_max_retries;
   // Retry-budget resolution: a per-section TxnAttrs override outranks the
-  // adaptive controller's plan, which outranks the global per-mode limit.
+  // global per-mode limit.
   if (tx.attr_retries >= 0) limit = tx.attr_retries;
-  else if (cfg.controller && tx.ctl_retries >= 0) limit = tx.ctl_retries;
   if (limit < 0) limit = 0;  // validate_config() rejects; stay safe anyway
 
   // Disposition resolution follows the same order: user attrs, then the
-  // controller's per-site plan (ctl::apply stamped it at section entry),
-  // then the cause defaults.
+  // cause defaults.
   Disposition d =
       static_cast<Disposition>(tx.attr_disp[static_cast<int>(tx.last_abort)]);
-  if (d == Disposition::Inherit && cfg.controller)
-    d = static_cast<Disposition>(tx.ctl_disp[static_cast<int>(tx.last_abort)]);
   if (d == Disposition::Inherit) d = default_disposition(tx.last_abort);
 
   switch (d) {

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "tm/control/control.hpp"
 #include "tm/governor/governor.hpp"
 #include "tm/obs/metrics.hpp"
 #include "tm/registry.hpp"
@@ -172,7 +171,7 @@ std::string obs_json() {
   const std::vector<SiteProfile> profiles = collect_site_profiles();
   std::string out;
   out += "{\"schema\":\"tle-obs/v1\",";
-  append_fmt(out, "\"mode\":\"%s\",", to_string(live_mode()));
+  append_fmt(out, "\"mode\":\"%s\",", to_string(config().mode));
   append_fmt(out, "\"stm_algo\":\"%s\",", to_string(config().stm_algo));
 
   out += "\"stats\":{";
@@ -229,21 +228,6 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
                gov_tid);
   };
   std::uint64_t storm_open_ns = 0;  // ts of an unmatched StormEnter
-
-  // Controller decisions get a second synthetic track: degraded-mode spans
-  // plus instants for plan changes, probes, and mode switches.
-  const unsigned ctl_tid = kMaxThreads + 1;
-  bool ctl_track_named = false;
-  auto name_ctl_track = [&] {
-    if (ctl_track_named) return;
-    ctl_track_named = true;
-    sep();
-    append_fmt(out,
-               "{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":\"thread_name\","
-               "\"args\":{\"name\":\"controller\"}}",
-               ctl_tid);
-  };
-  std::uint64_t degraded_open_ns = 0;  // ts of an unmatched CtlDegradedEnter
 
   bool slot_seen[kMaxThreads] = {};
   for (const trace::Record& r : records) {
@@ -351,81 +335,11 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
                    r.slot, static_cast<double>(r.ts_ns) / 1e3,
                    json_escape(site_name).c_str(), r.rset);
         break;
-      case trace::Event::CtlDegradedEnter:
-        name_ctl_track();
-        degraded_open_ns = r.ts_ns;
-        sep();
-        append_fmt(out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-                   "\"cat\":\"controller\",\"name\":\"degraded-enter:%s\","
-                   "\"ts\":%.3f}",
-                   ctl_tid, to_string(r.cause),
-                   static_cast<double>(r.ts_ns) / 1e3);
-        break;
-      case trace::Event::CtlDegradedExit:
-        name_ctl_track();
-        sep();
-        if (degraded_open_ns && degraded_open_ns <= r.ts_ns) {
-          append_fmt(out,
-                     "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-                     "\"cat\":\"controller\",\"name\":\"degraded\","
-                     "\"ts\":%.3f,\"dur\":%.3f}",
-                     ctl_tid, static_cast<double>(degraded_open_ns) / 1e3,
-                     static_cast<double>(r.ts_ns - degraded_open_ns) / 1e3);
-        } else {
-          append_fmt(out,
-                     "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-                     "\"cat\":\"controller\",\"name\":\"degraded-exit\","
-                     "\"ts\":%.3f}",
-                     ctl_tid, static_cast<double>(r.ts_ns) / 1e3);
-        }
-        degraded_open_ns = 0;
-        break;
-      case trace::Event::CtlPlanChange:
-        name_ctl_track();
-        sep();
-        append_fmt(out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"t\","
-                   "\"cat\":\"controller\",\"name\":\"plan:%s\","
-                   "\"ts\":%.3f,\"args\":{\"action\":%u,\"cause\":\"%s\"}}",
-                   ctl_tid, json_escape(site_name).c_str(),
-                   static_cast<double>(r.ts_ns) / 1e3, r.retry,
-                   to_string(r.cause));
-        break;
-      case trace::Event::CtlProbe:
-        name_ctl_track();
-        sep();
-        append_fmt(out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"t\","
-                   "\"cat\":\"controller\",\"name\":\"probe\",\"ts\":%.3f,"
-                   "\"args\":{\"site\":\"%s\",\"shift\":%u}}",
-                   ctl_tid, static_cast<double>(r.ts_ns) / 1e3,
-                   json_escape(site_name).c_str(), r.retry);
-        break;
-      case trace::Event::CtlModeSwitch:
-        name_ctl_track();
-        sep();
-        append_fmt(out,
-                   "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-                   "\"cat\":\"controller\",\"name\":\"mode-switch:%s\","
-                   "\"ts\":%.3f}",
-                   ctl_tid,
-                   to_string(static_cast<ExecMode>(r.retry)),
-                   static_cast<double>(r.ts_ns) / 1e3);
-        break;
       case trace::Event::Begin:
       case trace::Event::SerialEnter:
         // Interval starts: already represented by the closing event's dur.
         break;
     }
-  }
-  if (degraded_open_ns) {
-    sep();
-    append_fmt(out,
-               "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-               "\"cat\":\"controller\",\"name\":\"degraded-open\","
-               "\"ts\":%.3f}",
-               ctl_tid, static_cast<double>(degraded_open_ns) / 1e3);
   }
   if (storm_open_ns) {
     // Storm still active at snapshot time: render the open window as an
@@ -523,9 +437,6 @@ void init_from_env() noexcept {
   // inside, LIFO) stops the sampler and flushes the residual window BEFORE
   // the lifetime dump — window deltas then sum to the dumped totals exactly.
   init_metrics_from_env();
-  // Last, so its atexit (LIFO: first to run) joins the controller thread
-  // before the metrics shutdown flushes the residual window.
-  ctl::init_from_env();
 }
 
 }  // namespace tle::obs

@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 
-#include "tm/control/control.hpp"
 #include "tm/governor/governor.hpp"
 #include "tm/obs/export.hpp"
 #include "tm/registry.hpp"
@@ -85,7 +84,6 @@ struct State {
   std::uint64_t prev_grace_scan = 0;
   std::uint64_t next_index = 0;
   std::uint64_t last_tick_ns = 0;
-  std::uint64_t ctl_decisions_seen = 0;  ///< decisions_since() cursor
   std::vector<MetricsWindow> ring;
   std::atomic<bool> deterministic{false};
 };
@@ -216,36 +214,6 @@ MetricsWindow tick_locked(State& st, bool final_flush) {
   w.gauges.watchdog_escalations =
       delta(cur.gov_watchdog_escalations, prev.gov_watchdog_escalations);
   st.prev_stats = cur;
-
-  // Controller snapshot + the decisions landed since the previous tick.
-  // Lock order is st.mu -> ctl's mutex here; the controller thread releases
-  // st.mu (metrics_history copy) before on_window takes its own lock, so
-  // the order never inverts.
-  const ctl::Status cs = ctl::status();
-  w.ctl.enabled = cs.enabled;
-  w.ctl.state = ctl::to_string(cs.state);
-  w.ctl.mode = to_string(live_mode());
-  w.ctl.probe_shift = cs.probe_shift;
-  w.ctl.evals = cs.evals;
-  w.ctl.plan_changes = cs.plan_changes;
-  w.ctl.flaps = cs.flaps;
-  w.ctl.degraded_enters = cs.degraded_enters;
-  w.ctl.degraded_exits = cs.degraded_exits;
-  w.ctl.mode_switches = cs.mode_switches;
-  if (st.ctl_decisions_seen > cs.decisions)
-    st.ctl_decisions_seen = 0;  // ctl::reset() restarted the sequence
-  for (const ctl::Decision& d : ctl::decisions_since(st.ctl_decisions_seen)) {
-    CtlDecisionLite lite;
-    lite.seq = d.seq;
-    lite.window = d.window;
-    lite.site = d.site;
-    lite.kind = ctl::to_string(d.kind);
-    lite.state = ctl::to_string(d.state);
-    lite.shift = d.shift;
-    lite.detail = d.detail;
-    w.ctl.decisions.push_back(lite);
-    st.ctl_decisions_seen = d.seq;
-  }
 
   const std::size_t depth = std::max(1u, config().metrics_history);
   st.ring.push_back(w);
@@ -378,33 +346,6 @@ std::string metrics_json(const MetricsWindow& w) {
                (unsigned long long)g.serial_wait_ns,
                (unsigned long long)g.serial_held_age_ns, g.gov_abort_rate);
   out += "},";
-
-  // Controller block: always present (enabled:false when the controller is
-  // off) so stream checkers can require it unconditionally. Deterministic by
-  // construction — decisions are pure functions of counter deltas.
-  const CtlSnapshot& c = w.ctl;
-  append_fmt(out,
-             "\"ctl\":{\"enabled\":%s,\"state\":\"%s\",\"mode\":\"%s\","
-             "\"probe_shift\":%u,\"evals\":%llu,\"plan_changes\":%llu,"
-             "\"flaps\":%llu,\"degraded_enters\":%llu,"
-             "\"degraded_exits\":%llu,\"mode_switches\":%llu,\"decisions\":[",
-             c.enabled ? "true" : "false", c.state, c.mode, c.probe_shift,
-             (unsigned long long)c.evals, (unsigned long long)c.plan_changes,
-             (unsigned long long)c.flaps,
-             (unsigned long long)c.degraded_enters,
-             (unsigned long long)c.degraded_exits,
-             (unsigned long long)c.mode_switches);
-  for (std::size_t i = 0; i < c.decisions.size(); ++i) {
-    const CtlDecisionLite& d = c.decisions[i];
-    if (i) out += ',';
-    append_fmt(out,
-               "{\"seq\":%llu,\"window\":%llu,\"site\":%d,\"kind\":\"%s\","
-               "\"state\":\"%s\",\"shift\":%u,\"detail\":%u}",
-               (unsigned long long)d.seq, (unsigned long long)d.window,
-               (int)d.site, d.kind, d.state, (unsigned)d.shift,
-               (unsigned)d.detail);
-  }
-  out += "]},";
 
   // Ranked starvation surface: sites that have EVER hit the watchdog or the
   // storm gate (cumulative counters), capped at the 8 worst.
@@ -555,15 +496,6 @@ std::string prometheus_text() {
              "# HELP tle_gov_abort_rate Governor abort-rate estimate.\n"
              "# TYPE tle_gov_abort_rate gauge\ntle_gov_abort_rate %.6f\n",
              gov::abort_rate_estimate());
-  const ctl::Status cs = ctl::status();
-  gauge("tle_ctl_enabled", "1 while the adaptive controller is enabled.",
-        cs.enabled ? 1 : 0);
-  gauge("tle_ctl_state",
-        "Controller state (0 normal, 1 degraded, 2 probing).",
-        static_cast<unsigned long long>(cs.state));
-  gauge("tle_ctl_probe_shift",
-        "Global recovery-probe shift (admitting 1/2^shift of attempts).",
-        cs.probe_shift);
   return out;
 }
 

@@ -1,8 +1,7 @@
 // Live interval telemetry: windowed deltas over the per-slot × per-site
 // SiteCounters tables plus runtime health gauges, retained in a fixed-depth
 // ring and exported as streaming `tle-metrics/v1` JSONL, a Prometheus-style
-// text exposition, or programmatically (the interface a future self-tuning
-// controller consumes).
+// text exposition, or programmatically.
 //
 // Cost model: when kMetricsBit is clear the engine pays nothing beyond the
 // one relaxed obs::flags() load it already performs. Enabling metrics also
@@ -73,37 +72,6 @@ struct MetricsGauges {
   std::uint64_t watchdog_escalations = 0;  ///< escalations, this window
 };
 
-/// One adaptive-controller decision, flattened for export (plain data so
-/// this header never depends on control/control.hpp; the tick fills the
-/// strings from ctl::to_string, which returns static storage).
-struct CtlDecisionLite {
-  std::uint64_t seq = 0;
-  std::uint64_t window = 0;
-  std::int32_t site = -1;
-  const char* kind = "?";
-  const char* state = "?";
-  std::uint8_t shift = 0;
-  std::uint8_t detail = 0;
-};
-
-/// Adaptive-controller health captured at the closing tick, plus every
-/// decision the controller made since the previous tick. Deterministic by
-/// construction (the controller never consumes wall-clock input), so it is
-/// exported even in deterministic windows.
-struct CtlSnapshot {
-  bool enabled = false;
-  const char* state = "normal";
-  const char* mode = "?";  ///< live ExecMode at the tick (switch-visible)
-  unsigned probe_shift = 0;
-  std::uint64_t evals = 0;
-  std::uint64_t plan_changes = 0;
-  std::uint64_t flaps = 0;
-  std::uint64_t degraded_enters = 0;
-  std::uint64_t degraded_exits = 0;
-  std::uint64_t mode_switches = 0;
-  std::vector<CtlDecisionLite> decisions;  ///< since the previous tick
-};
-
 /// One closed interval. Process-level counters are TxStats deltas; `sites`
 /// holds only sites with activity inside the window.
 struct MetricsWindow {
@@ -124,7 +92,6 @@ struct MetricsWindow {
   std::uint64_t priv_immediate_frees = 0;
   std::uint64_t priv_limbo_routed = 0;
   MetricsGauges gauges;
-  CtlSnapshot ctl;
   std::vector<SiteWindow> sites;
 
   std::uint64_t duration_ns() const noexcept { return t_end_ns - t_start_ns; }

@@ -17,7 +17,6 @@
 #include <string>
 #include <thread>
 
-#include "tm/control/control.hpp"
 #include "tm/obs/export.hpp"
 #include "tm/obs/metrics.hpp"
 #include "util/timing.hpp"
@@ -116,12 +115,6 @@ void metrics_start() {
 
 void metrics_stop() {
   Sampler& s = sampler();
-  // The controller consumes the window stream this sampler produces: join
-  // its thread FIRST, so no evaluation (and no counter bump from one) can
-  // land after the residual final window below — the stream's last record
-  // must close the books. Taken before s.mu: ctl::stop() joins a thread
-  // that never touches the sampler, so no lock order forms.
-  ctl::stop();
   // Join outside the sink mutex: the loop's emit step takes s.mu, so
   // holding it across the join would deadlock the shutdown.
   std::thread th;
@@ -149,7 +142,6 @@ bool metrics_sampler_running() noexcept {
 void init_metrics_from_env() noexcept {
   static std::atomic<bool> inited{false};
   if (inited.exchange(true)) return;
-  if (!config().metrics) return;  // master switch: env cannot override it
   const char* out = std::getenv("TLE_METRICS_OUT");
   const char* prom = std::getenv("TLE_METRICS_PROM");
   const char* period = std::getenv("TLE_METRICS_PERIOD_MS");

@@ -67,30 +67,11 @@ const char* validate_config(const RuntimeConfig& cfg) noexcept {
     return "htm_seq_stripes must be a power of two in [1, kHtmStripeMax]";
   if (cfg.metrics_period_ms == 0) return "metrics_period_ms must be >= 1";
   if (cfg.metrics_history == 0) return "metrics_history must be >= 1";
-  if (cfg.controller && !cfg.metrics)
-    return "controller requires the interval-metrics subsystem (metrics)";
-  if (cfg.ctl_period_windows <= 0) return "ctl_period_windows must be >= 1";
-  if (cfg.ctl_min_samples == 0) return "ctl_min_samples must be >= 1";
-  if (cfg.ctl_confidence == 0) return "ctl_confidence must be >= 1";
-  if (cfg.ctl_trip_ratio < 0.0 || cfg.ctl_trip_ratio > 1.0)
-    return "ctl_trip_ratio must be in [0,1]";
-  if (cfg.ctl_release_ratio < 0.0 || cfg.ctl_release_ratio > 1.0)
-    return "ctl_release_ratio must be in [0,1]";
-  if (cfg.ctl_release_ratio >= cfg.ctl_trip_ratio)
-    return "ctl_release_ratio must be strictly below ctl_trip_ratio "
-           "(degraded-mode hysteresis is an open interval)";
-  if (cfg.ctl_trip_windows == 0) return "ctl_trip_windows must be >= 1";
-  if (cfg.ctl_probe_shift == 0 || cfg.ctl_probe_shift > 16)
-    return "ctl_probe_shift must be in [1,16] (0 would re-admit all "
-           "attempts in one step)";
-  if (cfg.ctl_boost_retries < 0) return "ctl_boost_retries must be >= 0";
   return nullptr;
 }
 
 void set_exec_mode(ExecMode mode) noexcept {
-  // Through the atomic view: the adaptive controller's drained switch may
-  // race transaction threads' live_mode() loads (see config.hpp).
-  set_live_mode(mode);
+  g_config.mode = mode;
   g_config.quiesce = QuiescePolicy::Always;
   g_config.honor_noquiesce = (mode == ExecMode::StmCondVarNoQ);
 }
@@ -248,10 +229,7 @@ std::string StatsSnapshot::report() const {
       "gov dispositions      %12llu serial / %llu backoff / %llu immediate\n"
       "gov drains/timeouts   %12llu / %llu\n"
       "gov storm enter/exit  %12llu / %llu (gated %llu)\n"
-      "gov watchdog/stalls   %12llu / %llu\n"
-      "ctl evals/replans     %12llu / %llu (forced serial %llu, boosts %llu)\n"
-      "ctl degraded in/out   %12llu / %llu (probes %llu, flaps %llu, mode "
-      "switches %llu)\n",
+      "gov watchdog/stalls   %12llu / %llu\n",
       (unsigned long long)txn_starts, (unsigned long long)commits,
       (unsigned long long)commits_readonly, (unsigned long long)serial_commits,
       (unsigned long long)serial_fallbacks, (unsigned long long)lock_sections,
@@ -297,14 +275,7 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)gov_storm_exits,
       (unsigned long long)gov_storm_gated,
       (unsigned long long)gov_watchdog_escalations,
-      (unsigned long long)gov_stall_events, (unsigned long long)ctl_evals,
-      (unsigned long long)ctl_plan_changes,
-      (unsigned long long)ctl_forced_serial,
-      (unsigned long long)ctl_boost_applied,
-      (unsigned long long)ctl_degraded_enters,
-      (unsigned long long)ctl_degraded_exits,
-      (unsigned long long)ctl_probe_attempts, (unsigned long long)ctl_flaps,
-      (unsigned long long)ctl_mode_switches);
+      (unsigned long long)gov_stall_events);
   std::string out(buf, buf + (n < 0 ? 0 : n));
   if (obs_site_overflow) {
     char warn[160];

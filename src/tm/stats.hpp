@@ -101,15 +101,6 @@ namespace tle {
   S(gov_watchdog_escalations, watchdog_escalations, 9,                        \
     "starving transactions escalated to serial")                              \
   G(gov_stall_events, "quiesce/drain stalls exceeding watchdog_stall_ns")     \
-  G(ctl_evals, "adaptive-controller evaluation passes")                       \
-  G(ctl_plan_changes, "controller per-site plan changes applied")             \
-  G(ctl_forced_serial, "attempts routed serial by a controller plan")         \
-  G(ctl_boost_applied, "attempts granted a controller-boosted retry budget")  \
-  G(ctl_probe_attempts, "recovery-probe attempts re-admitted to speculate")   \
-  G(ctl_degraded_enters, "controller degraded-mode entries")                  \
-  G(ctl_degraded_exits, "controller degraded-mode full recoveries")           \
-  G(ctl_mode_switches, "drained global exec-mode switches by the controller") \
-  G(ctl_flaps, "probing intervals that re-tripped back to degraded")          \
   G(obs_site_overflow, "TLE_TX_SITE registrations folded into id 0: full")
 
 /// Expansion for the row kind a use of TLE_COUNTERS leaves out.

@@ -36,13 +36,6 @@ enum class Event : std::uint8_t {
                      ///< (dur_ns carries the stall length for stalls)
   StripeRevalidate,  ///< HTM: a subscribed commit stripe moved and was
                      ///< value-revalidated (rset carries the stripe index)
-  CtlPlanChange,     ///< controller: a site's plan changed (cause recorded;
-                     ///< retry carries the new action, rset the dominant mix)
-  CtlDegradedEnter,  ///< controller: global degraded mode tripped
-  CtlDegradedExit,   ///< controller: full recovery (probe shift reached 0)
-  CtlProbe,          ///< controller: probe widened (retry carries the shift)
-  CtlModeSwitch,     ///< controller: drained global exec-mode switch
-                     ///< (retry carries the new ExecMode)
 };
 
 const char* to_string(Event e) noexcept;

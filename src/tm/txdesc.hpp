@@ -409,12 +409,6 @@ struct TxDesc {
                                ///< budget (drain waits are free — governor)
   /// Per-section gov::Disposition override by cause (0 = Inherit).
   std::uint8_t attr_disp[static_cast<int>(AbortCause::kCount)] = {};
-  /// Controller plan applied to this logical transaction (ctl::apply, once
-  /// per top-level section). Resolution order in gov::on_abort: per-section
-  /// TxnAttrs override, then these, then the global defaults. Read only when
-  /// config().controller is set, so stale values after a disable are inert.
-  int ctl_retries = -1;            ///< controller retry budget (-1 = none)
-  std::uint8_t ctl_disp[static_cast<int>(AbortCause::kCount)] = {};
   bool storm_token = false;        ///< holds a storm-gate admission token
 
   Xoshiro256 backoff_rng{0xC0FFEE};

@@ -9,11 +9,14 @@
 //     profile-bit independence contract,
 //   * a concurrent tick-vs-commit stress (TSan-clean) whose summed window
 //     deltas must equal the lifetime total exactly,
+//   * the ranked starved_sites array of every tle-metrics/v1 record,
+//   * the background sampler's start/stop/restart lifecycle,
 //   * deterministic mode: two identical seeded runs produce byte-identical
 //     tle-metrics/v1 window records.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -350,6 +353,55 @@ TEST(MetricsJson, RecordShapeFollowsDeterminism) {
   EXPECT_NE(prom.find("tle_site_commits_total{site=\"metrics/json\"} 2"),
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE tle_inflight_txns gauge"), std::string::npos);
+}
+
+TEST(MetricsJson, StarvedSitesRankWatchdogVictims) {
+  MetricsGuard mg;
+  const obs::TxSite& gated = TLE_TX_SITE("metrics/starved_gated");
+  const obs::TxSite& victim = TLE_TX_SITE("metrics/starved_victim");
+  // Manufacture governor starvation signals at two known sites: gate waits
+  // only at one, watchdog escalations at the other.
+  obs::site_counters(my_slot_id(), gated.id)
+      .storm_gated.fetch_add(5, std::memory_order_relaxed);
+  obs::site_counters(my_slot_id(), victim.id)
+      .watchdog_escalations.fetch_add(2, std::memory_order_relaxed);
+  const std::string json = obs::metrics_json(obs::metrics_tick());
+  const std::size_t arr = json.find("\"starved_sites\":[{\"id\":");
+  ASSERT_NE(arr, std::string::npos);
+  const std::size_t v = json.find("metrics/starved_victim", arr);
+  const std::size_t g = json.find("metrics/starved_gated", arr);
+  ASSERT_NE(v, std::string::npos);
+  ASSERT_NE(g, std::string::npos);
+  EXPECT_LT(v, g) << "watchdog victims rank above gate-only sites";
+  EXPECT_NE(json.find("\"watchdog_total\":2", arr), std::string::npos);
+  EXPECT_NE(json.find("\"gated_total\":5", arr), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Background sampler lifecycle
+// ---------------------------------------------------------------------------
+
+TEST(MetricsSampler, StartStopIsIdempotentAndRestartable) {
+  ModeGuard g(ExecMode::StmCondVar);
+  config().metrics_period_ms = 5;
+  MetricsGuard mg;
+  obs::metrics_start();
+  EXPECT_TRUE(obs::metrics_sampler_running());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  obs::metrics_stop();
+  EXPECT_FALSE(obs::metrics_sampler_running());
+  const std::uint64_t windows = obs::metrics_history().size();
+  EXPECT_GT(windows, 0u) << "the stop flushes a final window at least";
+
+  // A second stop finds nothing to join and emits no residual window.
+  obs::metrics_stop();
+  EXPECT_FALSE(obs::metrics_sampler_running());
+  EXPECT_EQ(obs::metrics_history().size(), windows);
+
+  obs::metrics_start();
+  EXPECT_TRUE(obs::metrics_sampler_running());
+  obs::metrics_stop();
+  EXPECT_FALSE(obs::metrics_sampler_running());
 }
 
 // ---------------------------------------------------------------------------

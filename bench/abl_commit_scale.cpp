@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "tm/governor/governor.hpp"
 #include "util/barrier.hpp"
 #include "util/env.hpp"
 #include "util/timing.hpp"
@@ -105,7 +104,6 @@ ScaleResult run_scale_cell(bool disjoint, unsigned stripes, int threads,
   const unsigned saved_stripes = config().htm_seq_stripes;
   config().htm_seq_stripes = stripes;
   reset_stats();
-  gov::reset();
 
   // Pool large enough that every thread can claim kVarsPerThread vars that
   // all map to its assigned stripe (threads spread round-robin): ~256

@@ -15,8 +15,7 @@
 //     jump"). The contention governor's default table drains serial windows
 //     budget-free instead, so speculation resumes when the interferer
 //     leaves. The cause-blind arm is a TxnAttrs table sending every cause
-//     but Unsafe to Backoff, with the watchdog and the storm gate switched
-//     off. The A/B gap (elided commits/s and serial_fallbacks) is the
+//     but Unsafe to Backoff, with the watchdog switched off. The A/B gap (elided commits/s and serial_fallbacks) is the
 //     measured value of cause-awareness.
 //
 // Metric note: the headline rate is ELIDED commits/s — the runtime's
@@ -49,8 +48,7 @@
 //         "convoy_depth": <double>,      // serial_fallbacks / serial_entries
 //         "aborts_serial_pending": <uint>,
 //         "gov_drain_waits": <uint>, "gov_drain_timeouts": <uint>,
-//         "gov_serial_immediate": <uint>, "gov_storm_enters": <uint>,
-//         "gov_storm_gated": <uint>,
+//         "gov_serial_immediate": <uint>,
 //         "gov_watchdog_escalations": <uint> }, ... ],
 //     "acceptance": {                    // on-vs-off at the widest cell
 //       "threads": <int>,
@@ -64,7 +62,6 @@
 // the tier-1 ctest suite; the full run also executes the sweep and checks
 // the acceptance ratios above.
 #include <atomic>
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -112,7 +109,6 @@ SweepResult run_sweep_cell(int retries, int threads, double secs) {
   set_exec_mode(ExecMode::Htm);
   config().htm_max_retries = retries;
   reset_stats();
-  gov::reset();
 
   bounded_queue<long> queue(128);
   std::atomic<bool> stop{false};
@@ -219,10 +215,8 @@ LemmingResult run_lemming_cell(bool cause_aware, int threads, double secs) {
         attrs.with(static_cast<AbortCause>(c), gov::Disposition::Backoff);
     config().watchdog_max_attempts = 0;
     config().watchdog_deadline_ns = 0;
-    config().storm_window = UINT_MAX;  // no window ever folds: no storm gate
   }
   reset_stats();
-  gov::reset();
 
   bounded_queue<long> queue(128);
   elidable_mutex work_lock;
@@ -294,7 +288,6 @@ LemmingResult run_lemming_cell(bool cause_aware, int threads, double secs) {
     check(r.stats.gov_drain_waits == 0, "cause-blind table never drains");
 
   config() = saved;
-  gov::reset();
   set_exec_mode(ExecMode::Lock);
   return r;
 }
@@ -345,8 +338,6 @@ void emit_json(const char* path, const std::vector<SweepResult>& sweep,
     j.kv("gov_drain_waits", c.stats.gov_drain_waits);
     j.kv("gov_drain_timeouts", c.stats.gov_drain_timeouts);
     j.kv("gov_serial_immediate", c.stats.gov_serial_immediate);
-    j.kv("gov_storm_enters", c.stats.gov_storm_enters);
-    j.kv("gov_storm_gated", c.stats.gov_storm_gated);
     j.kv("gov_watchdog_escalations", c.stats.gov_watchdog_escalations);
     j.end_obj();
     if (c.threads == accept_threads) (c.cause_aware ? on : off) = &c;

@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "tm/governor/governor.hpp"
 #include "tm/obs/metrics.hpp"
 #include "util/barrier.hpp"
 #include "util/env.hpp"
@@ -119,7 +118,6 @@ AlgoResult run_algo_cell(StmAlgo algo, Mix mix, int threads, double secs) {
   set_exec_mode(ExecMode::StmCondVar);
   config().stm_algo = algo;
   reset_stats();
-  gov::reset();
   const std::uint64_t clock_before = gclock().load();
 
   std::vector<tm_var<long>> hot(kHot);

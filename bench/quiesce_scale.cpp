@@ -214,9 +214,12 @@ CellResult run_cell(const Regime& regime, bool frees, int threads,
         critical(wlock, TLE_TX_SITE("qsc/cleanup"),
                  [&](TxContext& tx) { tx.destroy(prev); });
       txns.fetch_add(lt, std::memory_order_relaxed);
-      // Per-thread invariant: our words hold the last sequence we wrote.
+      // Per-thread invariant: our words hold what our last transaction
+      // wrote, seq + i, or their initial 0 when the thread reached its loop
+      // after `stop` and ran none.
       for (int i = 0; i < kTxWrites; ++i)
-        check(mine[i].unsafe_get() == seq + i, "writer final state");
+        check(mine[i].unsafe_get() == (seq ? seq + i : 0),
+              "writer final state");
     });
   }
   Stopwatch sw;

@@ -33,13 +33,12 @@ TOTALS_FIELDS = ["txn_starts", "commits", "aborts", "serial_commits",
                  "serial_fallbacks", "lock_sections", "limbo_enqueued",
                  "limbo_drained", "htm_routed_frees", "priv_immediate_frees",
                  "priv_limbo_routed"]
-GAUGE_FIELDS = ["inflight_txns", "limbo_pending", "storm_active",
-                "storm_inflight", "storm_gated", "watchdog_escalations"]
+GAUGE_FIELDS = ["inflight_txns", "limbo_pending", "watchdog_escalations"]
 GAUGE_TIME_FIELDS = ["oldest_txn_age_ns", "grace_last_scan_ns",
                      "grace_scan_ns", "serial_hold_ns", "serial_wait_ns",
-                     "serial_held_age_ns", "gov_abort_rate"]
+                     "serial_held_age_ns"]
 SITE_FIELDS = ["id", "name", "attempts", "commits", "serial_fallbacks",
-               "serial_commits", "htm_retries", "drain_waits", "storm_gated",
+               "serial_commits", "htm_retries", "drain_waits",
                "watchdog_escalations", "aborts", "aborts_total",
                "total_commits"]
 SITE_TIME_FIELDS = ["commit_rate", "abort_ratio", "fallback_ratio",
@@ -87,7 +86,7 @@ def check_record_shape(rec, label):
     starved = rec.get("starved_sites")
     check(isinstance(starved, list), f"{label}: missing 'starved_sites'")
     for s in starved if isinstance(starved, list) else []:
-        for fld in ("id", "name", "watchdog_total", "gated_total"):
+        for fld in ("id", "name", "watchdog_total", "drain_total"):
             check(fld in s, f"{label}: starved_sites entry missing {fld!r}")
     if not det:
         for fld in ("t_start_ns", "t_end_ns", "duration_ns"):

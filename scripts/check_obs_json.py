@@ -33,7 +33,7 @@ REQUIRED_COUNTERS = [
     "quiesce_spins", "quiesce_wait_ns", "grace_scans", "grace_shared",
     "parked_waits", "limbo_enqueued", "limbo_drained", "limbo_forced_flush",
     "noquiesce_requests", "noquiesce_honored", "noquiesce_ignored_nested",
-    "noquiesce_ignored_free", "noquiesce_ignored_htm", "htm_routed_frees",
+    "noquiesce_ignored_free", "htm_routed_frees",
     "priv_immediate_frees", "priv_limbo_routed",
     "tm_allocs", "tm_frees", "deferred_run",
     "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",
@@ -44,8 +44,8 @@ REQUIRED_COUNTERS = [
     "faults_injected", "fault_delays",
     "fault_forced_serial", "fault_forced_flush", "gov_serial_immediate",
     "gov_backoffs", "gov_immediate_retries", "gov_drain_waits",
-    "gov_drain_timeouts", "gov_storm_enters", "gov_storm_exits",
-    "gov_storm_gated", "gov_watchdog_escalations", "gov_stall_events",
+    "gov_drain_timeouts", "gov_storm_gated", "gov_watchdog_escalations",
+    "gov_stall_events",
     "obs_site_overflow",
 ]
 

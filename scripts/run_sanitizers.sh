@@ -7,10 +7,10 @@
 # the quiescence substrate (grace sharing, parking, limbo reclamation), the
 # observability layer (seqlock trace ring under concurrent
 # emit/snapshot/reset, per-site counter tables, the windowed metrics
-# sampler ticking against live counter bumps), and the contention
-# governor (storm-window folding, token gate, drain waits under racing
-# serial writers), and the striped commit sequence (per-stripe seqlock
-# acquisition/release ordering).
+# sampler ticking against live counter bumps, owner-only counter adds
+# polled by a concurrent aggregator), the contention governor (drain waits
+# under racing serial writers), and the striped commit sequence (per-stripe
+# seqlock acquisition/release ordering).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period.

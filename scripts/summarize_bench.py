@@ -173,7 +173,6 @@ def summarize_governor(path):
               f"fallbacks={c.get('serial_fallbacks', 0)} "
               f"convoy={c.get('convoy_depth', 0):.1f} "
               f"drains={c.get('gov_drain_waits', 0)} "
-              f"storms={c.get('gov_storm_enters', 0)} "
               f"watchdog={c.get('gov_watchdog_escalations', 0)}")
     acc = doc.get("acceptance", {})
     if acc:

@@ -131,21 +131,13 @@ class TxContext {
   /// The paper's TM_NoQuiesce: request that this transaction skip its
   /// post-commit quiescence. Ignored (with accounting) when nested, when the
   /// transaction frees memory, or when the runtime policy says so (§IV-B).
+  /// Only STM commits quiesce or read the request, so under HTM it is a
+  /// counted no-op: HTM frees wait in limbo whatever the section claims.
   void no_quiesce() const noexcept {
     TxStats& s = *tx_->stats;
     s.bump(s.noquiesce_requests);
     if (tx_->depth > 1) {
       s.bump(s.noquiesce_ignored_nested);
-      return;
-    }
-    // Simulated-HTM attempts never quiesce anyway, but a skip assertion
-    // made here must not license anything downstream (an immediate free, a
-    // skipped audit arm) while lazily-validating HTM peers are in flight:
-    // the paper's "HTM needs no quiescence" identity is a property of
-    // eager coherence aborts that our simulation does not have. Ignore
-    // with accounting instead of silently honoring.
-    if (tx_->access == AccessMode::Htm && htm_readers_possible()) {
-      s.bump(s.noquiesce_ignored_htm);
       return;
     }
     tx_->noquiesce_req = true;
@@ -304,20 +296,10 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
     return;
   }
 
-  // Storm tokens outlive individual attempts (a retrying transaction keeps
-  // its admission); the guard returns a held token on every exit — commit,
-  // serial escalation, or a user exception unwinding through us.
-  gov::TokenGuard gov_guard(tx);
   for (;;) {
     if (tx.force_serial) {
       run_serial(tx, body);
       return;
-    }
-    if (!gov::admit(tx)) {
-      // Starved at the storm gate: the watchdog escalated us to serial.
-      count(tx, Ctr::serial_fallbacks);
-      tx.force_serial = true;
-      continue;
     }
     // NOTE: locals of this frame mutated after setjmp live in TxDesc, never
     // in the frame, so no volatile is needed.
@@ -332,7 +314,6 @@ void run_transaction(F&& body, std::uint16_t site = 0) {
         throw;
       }
       tx_commit_speculative(tx);
-      gov::on_commit(tx);
       tx_post_commit(tx);
       return;
     }

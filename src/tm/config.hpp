@@ -128,9 +128,9 @@ struct RuntimeConfig {
   std::size_t limbo_max_pending = 1024;
 
   // --- contention governor (src/tm/governor/) ----------------------------
-  // Cause-aware retry policy, abort-storm throttling, and the starvation
-  // watchdog. Every speculative retry goes through it; a cause-blind policy
-  // is a TxnAttrs table mapping every cause but Unsafe to one disposition.
+  // Cause-aware retry policy and the starvation watchdog. Every speculative
+  // retry goes through it; a cause-blind policy is a TxnAttrs table mapping
+  // every cause but Unsafe to one disposition.
 
   /// Bound on a SerialPending drain wait: an aborted transaction waits (spin
   /// then timed sleep slices) for the serial lock's pending window to clear
@@ -138,22 +138,6 @@ struct RuntimeConfig {
   /// rule. If the window is still busy after this many nanoseconds the wait
   /// gives up and the abort consumes budget like any other.
   std::uint64_t serial_drain_timeout_ns = 2'000'000;
-
-  /// Abort-storm hysteresis: the storm gate engages when the sliding-window
-  /// abort rate reaches storm_on_rate and releases when it falls back to
-  /// storm_off_rate. Rates are aborts/attempts in [0,1]; off must not
-  /// exceed on (validate_config()).
-  double storm_on_rate = 0.85;
-  double storm_off_rate = 0.50;
-
-  /// Speculative attempts a thread accumulates locally before folding its
-  /// window into the global abort-rate estimate (no hot-path shared writes).
-  /// Must be >= 1.
-  unsigned storm_window = 64;
-
-  /// Concurrency admitted through the storm gate while a storm is active.
-  /// Must be >= 1 (a zero throttle would deadlock the gate).
-  unsigned storm_tokens = 2;
 
   /// Starvation watchdog: a logical transaction whose abort count reaches
   /// watchdog_max_attempts, or whose wall-clock age since its first abort
@@ -189,8 +173,8 @@ RuntimeConfig& config() noexcept;
 
 /// Coherence check for a configuration about to be installed: returns
 /// nullptr when `cfg` is valid, else a static string naming the first
-/// violation (negative retry limits, storm rates outside [0,1] or inverted
-/// hysteresis, zero storm window/tokens, spurious rate outside [0,1]).
+/// violation (negative retry limits, spurious rate outside [0,1], a stripe
+/// count that is not a power of two, a zero metrics period or history).
 /// Rejecting here replaces the retry loop's old silent clamping.
 const char* validate_config(const RuntimeConfig& cfg) noexcept;
 

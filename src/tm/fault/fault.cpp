@@ -116,7 +116,6 @@ constexpr NameMap kHookNames[] = {
     {"cv_enqueue", static_cast<int>(Hook::CvEnqueue)},
     {"cv_timeout", static_cast<int>(Hook::CvTimeout)},
     {"gov_drain", static_cast<int>(Hook::GovDrain)},
-    {"gov_gate", static_cast<int>(Hook::GovGate)},
     {"tt_commit", static_cast<int>(Hook::TtCommit)},
     {"htm_zombie", static_cast<int>(Hook::HtmZombieLoad)},
 };
@@ -247,7 +246,7 @@ const char* default_spec() noexcept {
          "flush@post=0.01,yield@sl_read_backout=0.1,yield@sl_write_drain=0.1,"
          "yield@sl_write_unlock=0.1,yield@epoch_exit=0.02,"
          "yield@epoch_scan=0.05,yield@grace_wait=0.05,yield@cv_enqueue=0.05,"
-         "yield@cv_timeout=0.05,yield@gov_drain=0.05,yield@gov_gate=0.05";
+         "yield@cv_timeout=0.05,yield@gov_drain=0.05";
 }
 
 AbortCause should_abort(Hook h) noexcept {

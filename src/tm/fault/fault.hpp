@@ -59,7 +59,6 @@ enum class Hook : std::uint8_t {
   CvEnqueue,      ///< tx_condvar: committed wait, before enqueue+sleep
   CvTimeout,      ///< tx_condvar: timed out, before the withdraw attempt
   GovDrain,       ///< governor: before a serial-pending drain wait
-  GovGate,        ///< governor: each pass of a storm-gate admission wait
   TtCommit,       ///< tictoc commit: inside the lock->validate->publish window
   HtmZombieLoad,  ///< simulated-HTM read: post-peer-commit, pre-revalidation
   kCount,

@@ -140,26 +140,22 @@ std::string site_table(const std::vector<SiteProfile>& profiles) {
 std::string starvation_table(const std::vector<SiteProfile>& profiles) {
   std::vector<SiteProfile> starved;
   for (const SiteProfile& p : profiles)
-    if (p.watchdog_escalations || p.storm_gated || p.drain_waits)
-      starved.push_back(p);
+    if (p.watchdog_escalations || p.drain_waits) starved.push_back(p);
   if (starved.empty()) return "";
   std::sort(starved.begin(), starved.end(),
             [](const SiteProfile& a, const SiteProfile& b) {
               if (a.watchdog_escalations != b.watchdog_escalations)
                 return a.watchdog_escalations > b.watchdog_escalations;
-              if (a.storm_gated != b.storm_gated)
-                return a.storm_gated > b.storm_gated;
               return a.drain_waits > b.drain_waits;
             });
   std::string out;
   out +=
       "== governor starvation report (ranked by watchdog escalations) ==\n"
-      "site                           watchdog  gated  drains    attempts  "
+      "site                           watchdog  drains    attempts  "
       "serial\n";
   for (const SiteProfile& p : starved)
-    append_fmt(out, "%-28.28s %9llu %6llu %7llu %11llu %7llu\n",
+    append_fmt(out, "%-28.28s %9llu %7llu %11llu %7llu\n",
                p.info.name, (unsigned long long)p.watchdog_escalations,
-               (unsigned long long)p.storm_gated,
                (unsigned long long)p.drain_waits,
                (unsigned long long)p.attempts,
                (unsigned long long)(p.serial_fallbacks + p.serial_commits));
@@ -213,21 +209,6 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
     if (!first) out += ',';
     first = false;
   };
-
-  // Degradation windows render on their own synthetic track so storm spans
-  // are visible against every thread's slices.
-  const unsigned gov_tid = kMaxThreads;
-  bool gov_track_named = false;
-  auto name_gov_track = [&] {
-    if (gov_track_named) return;
-    gov_track_named = true;
-    sep();
-    append_fmt(out,
-               "{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":\"thread_name\","
-               "\"args\":{\"name\":\"governor\"}}",
-               gov_tid);
-  };
-  std::uint64_t storm_open_ns = 0;  // ts of an unmatched StormEnter
 
   bool slot_seen[kMaxThreads] = {};
   for (const trace::Record& r : records) {
@@ -283,30 +264,6 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
                    "\"args\":{\"site\":\"%s\"}}",
                    r.slot, ts_us, dur_us, json_escape(site_name).c_str());
         break;
-      case trace::Event::StormEnter:
-        name_gov_track();
-        storm_open_ns = r.ts_ns;
-        break;
-      case trace::Event::StormExit:
-        name_gov_track();
-        sep();
-        // records is timestamp-sorted, so the open enter (if any) precedes
-        // us; an exit whose enter fell off the ring renders as an instant.
-        if (storm_open_ns && storm_open_ns <= r.ts_ns) {
-          append_fmt(out,
-                     "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"cat\":\"governor\","
-                     "\"name\":\"abort-storm\",\"ts\":%.3f,\"dur\":%.3f}",
-                     gov_tid, static_cast<double>(storm_open_ns) / 1e3,
-                     static_cast<double>(r.ts_ns - storm_open_ns) / 1e3);
-        } else {
-          append_fmt(out,
-                     "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-                     "\"cat\":\"governor\",\"name\":\"storm-exit\","
-                     "\"ts\":%.3f}",
-                     gov_tid, static_cast<double>(r.ts_ns) / 1e3);
-        }
-        storm_open_ns = 0;
-        break;
       case trace::Event::WatchdogEscalate:
         sep();
         if (r.dur_ns) {
@@ -340,15 +297,6 @@ std::string chrome_trace_json(const std::vector<trace::Record>& records) {
         // Interval starts: already represented by the closing event's dur.
         break;
     }
-  }
-  if (storm_open_ns) {
-    // Storm still active at snapshot time: render the open window as an
-    // instant so it is not silently dropped.
-    sep();
-    append_fmt(out,
-               "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"s\":\"g\","
-               "\"cat\":\"governor\",\"name\":\"storm-enter\",\"ts\":%.3f}",
-               gov_tid, static_cast<double>(storm_open_ns) / 1e3);
   }
   out += "]}";
   return out;

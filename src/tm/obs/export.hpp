@@ -38,9 +38,9 @@ std::vector<SiteProfile> collect_site_profiles();
 std::string site_table(const std::vector<SiteProfile>& profiles);
 
 /// Ranked starvation table for the governor: sites ordered by watchdog
-/// escalations, then storm-gate waits, then drain waits. Sites with none of
-/// the three are omitted; empty string when nothing starved. (The public
-/// alias gov::starvation_report() calls this on a fresh collection.)
+/// escalations, then drain waits. Sites with neither are omitted; empty
+/// string when nothing starved. (The public alias gov::starvation_report()
+/// calls this on a fresh collection.)
 std::string starvation_table(const std::vector<SiteProfile>& profiles);
 
 /// The `tle-obs/v1` document: {schema, mode, stats{...}, sites[...]}.

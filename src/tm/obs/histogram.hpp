@@ -1,14 +1,16 @@
 // Log2-bucketed latency histogram for the per-site profiler.
 //
 // Bucket b counts samples in [2^b, 2^(b+1)) nanoseconds, except bucket 0
-// which also absorbs 0 ns (so buckets 0..31 cover 0 ns to >= 2.1 s). Adds
-// are relaxed fetch_adds by the owning thread; an aggregator may read the
-// buckets concurrently — same contract as TxStats.
+// which also absorbs 0 ns (so buckets 0..31 cover 0 ns to >= 2.1 s). Only
+// the owning thread adds, through owner_add() (a relaxed load and store); an
+// aggregator may read the buckets concurrently — same contract as TxStats.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+
+#include "tm/stats.hpp"
 
 namespace tle::obs {
 
@@ -37,9 +39,7 @@ struct LatencyHist {
                   : (std::uint64_t{1} << b) + (std::uint64_t{1} << (b - 1));
   }
 
-  void add(std::uint64_t ns) noexcept {
-    buckets[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t ns) noexcept { owner_add(buckets[bucket_of(ns)]); }
 
   std::uint64_t total() const noexcept {
     std::uint64_t t = 0;

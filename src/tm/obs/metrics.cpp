@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 
-#include "tm/governor/governor.hpp"
 #include "tm/obs/export.hpp"
 #include "tm/registry.hpp"
 #include "tm/serial_lock.hpp"
@@ -126,8 +125,6 @@ void fill_gauges(State& st, MetricsWindow& w, bool det) {
     }
     g.limbo_pending += slots[i].limbo_pending.load(std::memory_order_relaxed);
   }
-  g.storm_active = gov::storm_active();
-  g.storm_inflight = gov::storm_inflight();
   if (!det) {
     GraceState& gs = grace_state();
     g.grace_last_scan_ns = gs.last_scan_ns.load(std::memory_order_relaxed);
@@ -144,7 +141,6 @@ void fill_gauges(State& st, MetricsWindow& w, bool det) {
     st.prev_serial_wait = wait;
     const std::uint64_t since = sl.write_held_since_ns();
     if (since && now > since) g.serial_held_age_ns = now - since;
-    g.gov_abort_rate = gov::abort_rate_estimate();
   }
 }
 
@@ -189,15 +185,14 @@ MetricsWindow tick_locked(State& st, bool final_flush) {
 #undef TLE_SITE_DELTA
     for (int a = 0; a < kAbortCauseCount; ++a)
       sw.aborts[a] = delta(c.aborts[a], p.aborts[a]);
-    const std::uint64_t activity = sw.attempts + sw.commits +
-                                   sw.serial_commits + sw.serial_fallbacks +
-                                   sw.aborts_total() + sw.storm_gated +
-                                   sw.watchdog_escalations;
+    const std::uint64_t activity =
+        sw.attempts + sw.commits + sw.serial_commits + sw.serial_fallbacks +
+        sw.aborts_total() + sw.watchdog_escalations;
     if (!activity) continue;
     sw.name = id == 0 ? "(unnamed)" : site_info(id).name;
     sw.total_commits = c.commits;
     sw.total_watchdog = c.watchdog_escalations;
-    sw.total_gated = c.storm_gated;
+    sw.total_drains = c.drain_waits;
     for (int b = 0; b < LatencyHist::kBuckets; ++b)
       sw.attempt_hist[b] = delta(c.hist[b], p.hist[b]);
     if (!det) {
@@ -210,7 +205,6 @@ MetricsWindow tick_locked(State& st, bool final_flush) {
   std::swap(st.prev_sites, st.cur_sites);
 
   fill_gauges(st, w, det);
-  w.gauges.storm_gated = delta(cur.gov_storm_gated, prev.gov_storm_gated);
   w.gauges.watchdog_escalations =
       delta(cur.gov_watchdog_escalations, prev.gov_watchdog_escalations);
   st.prev_stats = cur;
@@ -327,39 +321,35 @@ std::string metrics_json(const MetricsWindow& w) {
   const MetricsGauges& g = w.gauges;
   append_fmt(out,
              "\"gauges\":{\"inflight_txns\":%u,\"limbo_pending\":%llu,"
-             "\"storm_active\":%s,\"storm_inflight\":%u,"
-             "\"storm_gated\":%llu,\"watchdog_escalations\":%llu",
+             "\"watchdog_escalations\":%llu",
              g.inflight_txns, (unsigned long long)g.limbo_pending,
-             g.storm_active ? "true" : "false", g.storm_inflight,
-             (unsigned long long)g.storm_gated,
              (unsigned long long)g.watchdog_escalations);
   if (!w.deterministic)
     append_fmt(out,
                ",\"oldest_txn_age_ns\":%llu,\"grace_last_scan_ns\":%llu,"
                "\"grace_scan_ns\":%llu,\"serial_hold_ns\":%llu,"
-               "\"serial_wait_ns\":%llu,\"serial_held_age_ns\":%llu,"
-               "\"gov_abort_rate\":%.6f",
+               "\"serial_wait_ns\":%llu,\"serial_held_age_ns\":%llu",
                (unsigned long long)g.oldest_txn_age_ns,
                (unsigned long long)g.grace_last_scan_ns,
                (unsigned long long)g.grace_scan_ns,
                (unsigned long long)g.serial_hold_ns,
                (unsigned long long)g.serial_wait_ns,
-               (unsigned long long)g.serial_held_age_ns, g.gov_abort_rate);
+               (unsigned long long)g.serial_held_age_ns);
   out += "},";
 
-  // Ranked starvation surface: sites that have EVER hit the watchdog or the
-  // storm gate (cumulative counters), capped at the 8 worst.
+  // Ranked starvation surface: sites that have EVER hit the watchdog or
+  // waited out a serial window (cumulative counters), capped at the 8 worst.
   out += "\"starved_sites\":[";
   {
     std::vector<const SiteWindow*> starved;
     for (const SiteWindow& s : w.sites)
-      if (s.total_watchdog || s.total_gated) starved.push_back(&s);
+      if (s.total_watchdog || s.total_drains) starved.push_back(&s);
     std::sort(starved.begin(), starved.end(),
               [](const SiteWindow* a, const SiteWindow* b) {
                 if (a->total_watchdog != b->total_watchdog)
                   return a->total_watchdog > b->total_watchdog;
-                if (a->total_gated != b->total_gated)
-                  return a->total_gated > b->total_gated;
+                if (a->total_drains != b->total_drains)
+                  return a->total_drains > b->total_drains;
                 return a->id < b->id;
               });
     if (starved.size() > 8) starved.resize(8);
@@ -368,10 +358,10 @@ std::string metrics_json(const MetricsWindow& w) {
       if (i) out += ',';
       append_fmt(out,
                  "{\"id\":%d,\"name\":\"%s\",\"watchdog_total\":%llu,"
-                 "\"gated_total\":%llu}",
+                 "\"drain_total\":%llu}",
                  s.id, json_escape(s.name).c_str(),
                  (unsigned long long)s.total_watchdog,
-                 (unsigned long long)s.total_gated);
+                 (unsigned long long)s.total_drains);
     }
   }
   out += "],";
@@ -384,15 +374,13 @@ std::string metrics_json(const MetricsWindow& w) {
                "{\"id\":%d,\"name\":\"%s\",\"attempts\":%llu,"
                "\"commits\":%llu,\"serial_fallbacks\":%llu,"
                "\"serial_commits\":%llu,\"htm_retries\":%llu,"
-               "\"drain_waits\":%llu,\"storm_gated\":%llu,"
-               "\"watchdog_escalations\":%llu",
+               "\"drain_waits\":%llu,\"watchdog_escalations\":%llu",
                s.id, json_escape(s.name).c_str(),
                (unsigned long long)s.attempts, (unsigned long long)s.commits,
                (unsigned long long)s.serial_fallbacks,
                (unsigned long long)s.serial_commits,
                (unsigned long long)s.htm_retries,
                (unsigned long long)s.drain_waits,
-               (unsigned long long)s.storm_gated,
                (unsigned long long)s.watchdog_escalations);
     out += ",\"aborts\":{";
     bool first = true;
@@ -488,14 +476,6 @@ std::string prometheus_text() {
         serial_lock().write_hold_ns_total());
   gauge("tle_serial_wait_ns_total", "Cumulative serial write-lock wait time.",
         serial_lock().write_wait_ns_total());
-  gauge("tle_storm_active", "1 while the abort-storm gate is engaged.",
-        w.gauges.storm_active ? 1 : 0);
-  gauge("tle_storm_inflight", "Tokens admitted through the storm gate.",
-        w.gauges.storm_inflight);
-  append_fmt(out,
-             "# HELP tle_gov_abort_rate Governor abort-rate estimate.\n"
-             "# TYPE tle_gov_abort_rate gauge\ntle_gov_abort_rate %.6f\n",
-             gov::abort_rate_estimate());
   return out;
 }
 

@@ -46,7 +46,7 @@ struct SiteWindow : SiteTotals {
   /// "starved_sites" ranking — windows with zero delta still surface a site
   /// that has ever starved).
   std::uint64_t total_watchdog = 0;
-  std::uint64_t total_gated = 0;
+  std::uint64_t total_drains = 0;
   /// Attempt-latency percentiles from the window's histogram delta
   /// (midpoint rule, histogram.hpp); 0 in deterministic windows.
   std::uint64_t p50_ns = 0;
@@ -65,10 +65,6 @@ struct MetricsGauges {
   std::uint64_t serial_hold_ns = 0;      ///< serial write-hold, this window
   std::uint64_t serial_wait_ns = 0;      ///< serial write-wait, this window
   std::uint64_t serial_held_age_ns = 0;  ///< current writer's hold age
-  bool storm_active = false;             ///< abort-storm gate engaged
-  std::uint32_t storm_inflight = 0;      ///< tokens admitted through gate
-  double gov_abort_rate = 0.0;           ///< governor's global estimate
-  std::uint64_t storm_gated = 0;         ///< attempts gated, this window
   std::uint64_t watchdog_escalations = 0;  ///< escalations, this window
 };
 

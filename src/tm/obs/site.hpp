@@ -6,9 +6,10 @@
 // Cost model: when nothing is enabled the engine pays exactly one relaxed
 // load of the flag word per event site (obs::flags(), which also gates the
 // flight recorder — tracing and profiling share the word). When profiling is
-// on, counter bumps are owner-thread relaxed fetch_adds into a lazily
-// allocated per-slot table, so there is no cross-thread contention on the
-// hot path; aggregation (export.hpp) reads the tables concurrently.
+// on, counter bumps are owner_add()s (stats.hpp: one writer per counter, a
+// relaxed load and store) into a lazily allocated per-slot table, so the hot
+// path has no locked instruction and no cross-thread contention;
+// aggregation (export.hpp) reads the tables concurrently.
 #pragma once
 
 #include <atomic>
@@ -196,9 +197,9 @@ inline SiteCounters& site_counters(int slot, std::uint16_t site) noexcept {
   return thread_site_table(slot)[site < kMaxSites ? site : 0];
 }
 
-/// Zero every allocated table (benchmark harnesses; not thread-safe against
-/// concurrent profiled transactions producing exact totals, same caveat as
-/// reset_stats()).
+/// Zero every allocated table (benchmark harnesses). Same contract as
+/// reset_stats(): no thread may count while it runs, since an owner_add()
+/// racing the reset can write back its pre-reset value.
 void reset_site_profiles() noexcept;
 
 }  // namespace tle::obs
@@ -212,11 +213,9 @@ namespace tle {
 /// loaded; without it the word is loaded for site-row counters only.
 inline void count(TxDesc& tx, Ctr c, std::uint64_t n,
                   std::uint32_t ob) noexcept {
-  tx.stats->at(c).fetch_add(n, std::memory_order_relaxed);
+  owner_add(tx.stats->at(c), n);
   if (obs::has_site_row(c) && (ob & obs::kProfileBit))
-    obs::site_counters(tx.slot_id, tx.site)
-        .at(c)
-        .fetch_add(n, std::memory_order_relaxed);
+    owner_add(obs::site_counters(tx.slot_id, tx.site).at(c), n);
 }
 
 inline void count(TxDesc& tx, Ctr c, std::uint64_t n = 1) noexcept {
@@ -226,11 +225,9 @@ inline void count(TxDesc& tx, Ctr c, std::uint64_t n = 1) noexcept {
 /// count() for one speculative abort of cause `cause`.
 inline void count(TxDesc& tx, AbortCause cause, std::uint32_t ob) noexcept {
   const int i = static_cast<int>(cause);
-  tx.stats->aborts[i].fetch_add(1, std::memory_order_relaxed);
+  owner_add(tx.stats->aborts[i]);
   if (ob & obs::kProfileBit)
-    obs::site_counters(tx.slot_id, tx.site)
-        .aborts[i]
-        .fetch_add(1, std::memory_order_relaxed);
+    owner_add(obs::site_counters(tx.slot_id, tx.site).aborts[i]);
 }
 
 }  // namespace tle

@@ -53,15 +53,6 @@ const char* validate_config(const RuntimeConfig& cfg) noexcept {
   if (cfg.stm_max_retries < 0) return "stm_max_retries must be >= 0";
   if (cfg.htm_spurious_abort_rate < 0.0 || cfg.htm_spurious_abort_rate > 1.0)
     return "htm_spurious_abort_rate must be in [0,1]";
-  if (cfg.storm_on_rate < 0.0 || cfg.storm_on_rate > 1.0)
-    return "storm_on_rate must be in [0,1]";
-  if (cfg.storm_off_rate < 0.0 || cfg.storm_off_rate > 1.0)
-    return "storm_off_rate must be in [0,1]";
-  if (cfg.storm_off_rate > cfg.storm_on_rate)
-    return "storm_off_rate must not exceed storm_on_rate (hysteresis)";
-  if (cfg.storm_window == 0) return "storm_window must be >= 1";
-  if (cfg.storm_tokens == 0)
-    return "storm_tokens must be >= 1 (a zero throttle deadlocks the gate)";
   if (cfg.htm_seq_stripes == 0 || cfg.htm_seq_stripes > kHtmStripeMax ||
       (cfg.htm_seq_stripes & (cfg.htm_seq_stripes - 1)) != 0)
     return "htm_seq_stripes must be a power of two in [1, kHtmStripeMax]";
@@ -228,7 +219,6 @@ std::string StatsSnapshot::report() const {
       "%llu)\n"
       "gov dispositions      %12llu serial / %llu backoff / %llu immediate\n"
       "gov drains/timeouts   %12llu / %llu\n"
-      "gov storm enter/exit  %12llu / %llu (gated %llu)\n"
       "gov watchdog/stalls   %12llu / %llu\n",
       (unsigned long long)txn_starts, (unsigned long long)commits,
       (unsigned long long)commits_readonly, (unsigned long long)serial_commits,
@@ -271,9 +261,6 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)gov_immediate_retries,
       (unsigned long long)gov_drain_waits,
       (unsigned long long)gov_drain_timeouts,
-      (unsigned long long)gov_storm_enters,
-      (unsigned long long)gov_storm_exits,
-      (unsigned long long)gov_storm_gated,
       (unsigned long long)gov_watchdog_escalations,
       (unsigned long long)gov_stall_events);
   std::string out(buf, buf + (n < 0 ? 0 : n));

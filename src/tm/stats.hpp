@@ -12,6 +12,13 @@
 // tle-obs/v1 `sites` objects. Events are counted with tle::count()
 // (obs/site.hpp), which bumps the thread's row and, while profiling is on,
 // the site's, so per-site sums equal the thread totals by construction.
+//
+// One writer per counter: only the thread that holds a slot counts into its
+// rows, so an add is a relaxed load plus a relaxed store (owner_add), not a
+// locked read-modify-write. Readers (aggregate_stats, the site collection)
+// may load concurrently and see each value whole. Reset contract: no thread
+// may count while reset_stats() runs; an add racing a reset can write back
+// its pre-reset value.
 #pragma once
 
 #include <atomic>
@@ -55,7 +62,6 @@ namespace tle {
   G(noquiesce_honored, "commits that skipped quiescence")                     \
   G(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")            \
   G(noquiesce_ignored_free, "skips denied: txn freed memory")                 \
-  G(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")    \
   S(htm_routed_frees, htm_routed_frees, 16,                                   \
     "always 0: serial exits drain HTM readers (kept for perfbench)")          \
   G(priv_immediate_frees, "tm_private_free released immediately")             \
@@ -94,10 +100,8 @@ namespace tle {
   S(gov_drain_waits, drain_waits, 7,                                          \
     "serial-pending drains awaited without budget burn")                      \
   G(gov_drain_timeouts, "drain waits that hit serial_drain_timeout_ns")       \
-  G(gov_storm_enters, "abort-storm gate activations")                         \
-  G(gov_storm_exits, "abort-storm gate releases")                             \
   S(gov_storm_gated, storm_gated, 8,                                          \
-    "speculative attempts held at the storm gate")                            \
+    "always 0: the storm gate is gone (kept for perfbench)")                  \
   S(gov_watchdog_escalations, watchdog_escalations, 9,                        \
     "starving transactions escalated to serial")                              \
   G(gov_stall_events, "quiesce/drain stalls exceeding watchdog_stall_ns")     \
@@ -124,8 +128,15 @@ inline constexpr int kSiteCounterCount =
 
 inline constexpr int kAbortCauseCount = static_cast<int>(AbortCause::kCount);
 
-/// Counters owned by one thread; incremented with relaxed atomics so an
-/// aggregator may read them concurrently without UB.
+/// Add `n` to a counter that only the calling thread writes: a relaxed load
+/// and store, so the hot path pays no locked instruction.
+inline void owner_add(std::atomic<std::uint64_t>& c,
+                      std::uint64_t n = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+/// Counters owned by one thread (the slot's holder, their only writer);
+/// atomic so an aggregator may read them concurrently without UB.
 struct TxStats {
   using Counter = std::atomic<std::uint64_t>;
 
@@ -153,9 +164,7 @@ struct TxStats {
     for (auto& a : aborts) zero(a);
   }
 
-  void bump(Counter& c, std::uint64_t n = 1) noexcept {
-    c.fetch_add(n, std::memory_order_relaxed);
-  }
+  void bump(Counter& c, std::uint64_t n = 1) noexcept { owner_add(c, n); }
 
   /// Visit every scalar counter as f(name, atomic&); the abort array is not
   /// included. Used by tests to prove aggregation covers every field.
@@ -225,7 +234,8 @@ static_assert(sizeof(StatsSnapshot) ==
 /// result is then approximate, exact at barriers).
 StatsSnapshot aggregate_stats() noexcept;
 
-/// Zero every registered thread's counters.
+/// Zero every registered thread's counters. No thread may count while it
+/// runs (see "One writer per counter" above).
 void reset_stats() noexcept;
 
 }  // namespace tle

@@ -53,8 +53,6 @@ const char* to_string(Event e) noexcept {
     case Event::SerialEnter: return "serial-enter";
     case Event::SerialExit: return "serial-exit";
     case Event::Quiesce: return "quiesce";
-    case Event::StormEnter: return "storm-enter";
-    case Event::StormExit: return "storm-exit";
     case Event::WatchdogEscalate: return "watchdog-escalate";
     case Event::StripeRevalidate: return "stripe-revalidate";
   }

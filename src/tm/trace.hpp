@@ -30,8 +30,6 @@ enum class Event : std::uint8_t {
   SerialEnter,  ///< irrevocable execution began
   SerialExit,   ///< irrevocable execution finished
   Quiesce,      ///< post-commit quiescence performed
-  StormEnter,   ///< governor: abort-storm gate engaged
-  StormExit,    ///< governor: abort-storm gate released
   WatchdogEscalate,  ///< governor: starvation escalation or detected stall
                      ///< (dur_ns carries the stall length for stalls)
   StripeRevalidate,  ///< HTM: a subscribed commit stripe moved and was

@@ -293,12 +293,14 @@ struct TxDesc {
 
   // --- STM -------------------------------------------------------------
   std::uint64_t rv = 0;   ///< validity timestamp (snapshot)
-  // Governor state updated at every commit or abort, placed here to keep
-  // the fields below at the cache-line offsets they were measured at.
-  std::uint64_t txn_start_ns = 0;  ///< watchdog stamp: first abort (or first
-                                   ///< gated wait) of this logical txn
-  unsigned win_attempts = 0;       ///< storm window: attempts not yet folded
-  unsigned win_aborts = 0;         ///< storm window: aborts not yet folded
+  // Governor state reset at every commit and updated at every abort.
+  std::uint64_t txn_start_ns = 0;  ///< watchdog stamp: first abort of this
+                                   ///< logical txn
+  unsigned budget_used = 0;  ///< subset of `attempts` that consumed retry
+                             ///< budget (drain waits are free — governor)
+  /// Unused; keeps the fields below at the cache-line offsets they were
+  /// measured at.
+  std::uint32_t layout_pad = 0;
   bool gl_writer = false; ///< gl_wt: this txn holds the global write lock
   bool read_only = true;
   std::vector<ReadEntry> reads;
@@ -401,15 +403,11 @@ struct TxDesc {
   ZeroOnMove<std::uint64_t> limbo_certified;
 
   // --- contention governor state ---------------------------------------
-  // Touched only at attempt boundaries (begin/abort/commit), never on the
-  // per-access hot path — kept out of the prefix above so the section-state
-  // and read/write-set index fields keep their PR-4 cache-line placement.
-  // txn_start_ns and the storm window counters sit after `rv` instead.
-  unsigned budget_used = 0;    ///< subset of `attempts` that consumed retry
-                               ///< budget (drain waits are free — governor)
+  // Read by the governor on the abort path only, never on the per-access
+  // hot path — kept out of the prefix above so the section-state and
+  // read/write-set index fields keep their PR-4 cache-line placement.
   /// Per-section gov::Disposition override by cause (0 = Inherit).
   std::uint8_t attr_disp[static_cast<int>(AbortCause::kCount)] = {};
-  bool storm_token = false;        ///< holds a storm-gate admission token
 
   Xoshiro256 backoff_rng{0xC0FFEE};
 

@@ -1,12 +1,11 @@
-// Tests for the contention governor (PR: cause-aware retry policy,
-// abort-storm throttle, starvation watchdog):
+// Tests for the contention governor (cause-aware retry policy and the
+// starvation watchdog):
 //   * the default disposition table and every TxnAttrs override,
 //   * capacity/unsafe -> serial in ONE attempt (no futile retries),
 //   * serial-pending drains that consume no retry budget (lemming fix),
 //   * drain timeouts that do charge budget,
 //   * retry-limit semantics: 0 = one attempt then serial, -1 = inherit,
 //   * the htm_retries fix (aborts followed by another hardware attempt),
-//   * storm gate trip/release with hysteresis and token-based admission,
 //   * watchdog escalation by attempts cap and by wall-clock deadline,
 //   * validate_config() rejection of malformed governor knobs,
 //   * byte-identical governor counters across two same-seed runs.
@@ -31,19 +30,14 @@ namespace {
 using testing::kElisionModes;
 using testing::ModeGuard;
 
-/// Every governor test starts with a clean slate: no fault plan, zeroed
-/// stats, and the global storm window / gate reset. Restores on exit too so
-/// a tripped storm cannot leak into the next suite.
+/// Every governor test starts with a clean slate: no fault plan and zeroed
+/// stats. Clears the plan on exit too so it cannot leak into the next suite.
 struct GovGuard {
   GovGuard() {
     fault::clear();
     reset_stats();
-    gov::reset();
   }
-  ~GovGuard() {
-    fault::clear();
-    gov::reset();
-  }
+  ~GovGuard() { fault::clear(); }
 };
 
 StatsSnapshot stats() { return aggregate_stats(); }
@@ -411,97 +405,6 @@ TEST(GovernorWatchdog, DeadlineEscalatesAndReportNamesTheSite) {
 }
 
 // ---------------------------------------------------------------------------
-// Abort-storm gate
-// ---------------------------------------------------------------------------
-
-// Saturating aborts trip the gate at storm_on_rate; a commit-only phase
-// lowers the estimate past storm_off_rate and releases it (hysteresis).
-TEST(GovernorStorm, TripsOnAbortsReleasesOnCommits) {
-  ModeGuard g(ExecMode::StmSpin);
-  GovGuard gg;
-  config().stm_max_retries = 2;
-  config().storm_window = 4;
-  config().storm_on_rate = 0.85;
-  config().storm_off_rate = 0.50;
-  tm_var<long> v(0);
-
-  // Fresh thread: its private fold window starts at phase 0.
-  std::thread t([&] {
-    fault::set_thread_stream(7);
-    ASSERT_TRUE(fault::install_spec("conflict@read=1", 42));
-    for (int i = 0; i < 8 && !gov::storm_active(); ++i)
-      atomic_do([&](TxContext& tx) { (void)tx.read(v); });
-    EXPECT_TRUE(gov::storm_active());
-    EXPECT_GE(gov::abort_rate_estimate(), config().storm_on_rate);
-
-    fault::clear();
-    // Commit-only traffic dilutes the estimate until the gate releases.
-    for (int i = 0; i < 4096 && gov::storm_active(); ++i)
-      atomic_do([&](TxContext& tx) { tx.fetch_add(v, 1L); });
-    EXPECT_FALSE(gov::storm_active());
-  });
-  t.join();
-
-  const StatsSnapshot s = stats();
-  EXPECT_GE(s.gov_storm_enters, 1u);
-  EXPECT_GE(s.gov_storm_exits, 1u);
-  EXPECT_LE(gov::abort_rate_estimate(), config().storm_off_rate);
-}
-
-// With the gate engaged and one token, a second speculator is held at the
-// gate until the token holder commits — the concurrency throttle itself.
-TEST(GovernorStorm, GateAdmitsOneTokenHolderAtATime) {
-  ModeGuard g(ExecMode::StmSpin);
-  GovGuard gg;
-  config().stm_max_retries = 2;
-  config().storm_window = 4;
-  config().storm_tokens = 1;
-  config().watchdog_max_attempts = 0;  // the gated thread waits as long as
-  config().watchdog_deadline_ns = 0;   // the orchestration needs it to
-  // Huge windows for the two worker threads: their handful of attempts
-  // never folds, so the storm cannot release mid-test.
-  tm_var<long> v(0);
-
-  // Trip the storm from a throwaway thread.
-  std::thread trip([&] {
-    fault::set_thread_stream(7);
-    ASSERT_TRUE(fault::install_spec("conflict@read=1", 42));
-    for (int i = 0; i < 8 && !gov::storm_active(); ++i)
-      atomic_do([&](TxContext& tx) { (void)tx.read(v); });
-    fault::clear();
-  });
-  trip.join();
-  ASSERT_TRUE(gov::storm_active());
-  config().storm_window = 1 << 30;  // freeze the estimate for the main act
-
-  std::atomic<bool> a_in{false}, go{false}, b_done{false};
-  std::thread a([&] {
-    atomic_do([&](TxContext& tx) {
-      tx.fetch_add(v, 1L);
-      a_in.store(true, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    });
-  });
-  while (!a_in.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  std::thread b([&] {
-    atomic_do([&](TxContext& tx) { tx.fetch_add(v, 1L); });
-    b_done.store(true, std::memory_order_release);
-  });
-  // b must be held at the gate: the only token is inside a's transaction.
-  while (stats().gov_storm_gated == 0) std::this_thread::yield();
-  EXPECT_FALSE(b_done.load(std::memory_order_acquire));
-  go.store(true, std::memory_order_release);
-  a.join();
-  b.join();
-
-  const StatsSnapshot s = stats();
-  EXPECT_GE(s.gov_storm_gated, 1u);
-  EXPECT_EQ(s.commits, 2u);
-  EXPECT_EQ(v.unsafe_get(), 2);
-}
-
-// ---------------------------------------------------------------------------
 // validate_config
 // ---------------------------------------------------------------------------
 
@@ -514,23 +417,6 @@ TEST(GovernorConfig, ValidateRejectsMalformedKnobs) {
 
   c = RuntimeConfig{};
   c.stm_max_retries = -7;
-  EXPECT_NE(validate_config(c), nullptr);
-
-  c = RuntimeConfig{};
-  c.storm_on_rate = 1.5;
-  EXPECT_NE(validate_config(c), nullptr);
-
-  c = RuntimeConfig{};
-  c.storm_on_rate = 0.4;
-  c.storm_off_rate = 0.6;  // hysteresis inverted
-  EXPECT_NE(validate_config(c), nullptr);
-
-  c = RuntimeConfig{};
-  c.storm_window = 0;
-  EXPECT_NE(validate_config(c), nullptr);
-
-  c = RuntimeConfig{};
-  c.storm_tokens = 0;  // a zero throttle would deadlock the gate
   EXPECT_NE(validate_config(c), nullptr);
 }
 
@@ -553,19 +439,15 @@ GovTrace fingerprint() {
 }
 
 // Same seed, same per-thread workload => the governor makes the identical
-// decision sequence. Fresh threads pin the fault stream and start with a
-// zeroed fold window; a huge storm_window keeps the global estimate out of
-// the picture (its phase survives runs by design).
+// decision sequence. Fresh threads pin the fault stream.
 TEST(GovernorDeterminism, SameSeedSameDecisions) {
   ModeGuard g(ExecMode::Htm);
   GovGuard gg;
   config().htm_max_retries = 4;
-  config().storm_window = 1 << 30;
   tm_var<long> v(0);
 
   auto run = [&] {
     reset_stats();
-    gov::reset();
     ASSERT_TRUE(fault::install_spec(
         "conflict@read=0.2,spurious@commit=0.1,capacity@write=0.02", 1234));
     std::thread t([&] {

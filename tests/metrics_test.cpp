@@ -357,24 +357,26 @@ TEST(MetricsJson, RecordShapeFollowsDeterminism) {
 
 TEST(MetricsJson, StarvedSitesRankWatchdogVictims) {
   MetricsGuard mg;
-  const obs::TxSite& gated = TLE_TX_SITE("metrics/starved_gated");
+  const obs::TxSite& drained = TLE_TX_SITE("metrics/starved_drained");
   const obs::TxSite& victim = TLE_TX_SITE("metrics/starved_victim");
-  // Manufacture governor starvation signals at two known sites: gate waits
-  // only at one, watchdog escalations at the other.
-  obs::site_counters(my_slot_id(), gated.id)
-      .storm_gated.fetch_add(5, std::memory_order_relaxed);
-  obs::site_counters(my_slot_id(), victim.id)
-      .watchdog_escalations.fetch_add(2, std::memory_order_relaxed);
+  // Manufacture governor starvation signals at two known sites: serial
+  // windows waited out (each after its SerialPending abort) at one,
+  // watchdog escalations at the other.
+  obs::SiteCounters& d = obs::site_counters(my_slot_id(), drained.id);
+  owner_add(d.aborts[static_cast<int>(AbortCause::SerialPending)], 5);
+  owner_add(d.drain_waits, 5);
+  owner_add(obs::site_counters(my_slot_id(), victim.id).watchdog_escalations,
+            2);
   const std::string json = obs::metrics_json(obs::metrics_tick());
   const std::size_t arr = json.find("\"starved_sites\":[{\"id\":");
   ASSERT_NE(arr, std::string::npos);
   const std::size_t v = json.find("metrics/starved_victim", arr);
-  const std::size_t g = json.find("metrics/starved_gated", arr);
+  const std::size_t g = json.find("metrics/starved_drained", arr);
   ASSERT_NE(v, std::string::npos);
   ASSERT_NE(g, std::string::npos);
-  EXPECT_LT(v, g) << "watchdog victims rank above gate-only sites";
+  EXPECT_LT(v, g) << "watchdog victims rank above drain-only sites";
   EXPECT_NE(json.find("\"watchdog_total\":2", arr), std::string::npos);
-  EXPECT_NE(json.find("\"gated_total\":5", arr), std::string::npos);
+  EXPECT_NE(json.find("\"drain_total\":5", arr), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

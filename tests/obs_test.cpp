@@ -6,6 +6,8 @@
 //   * per-site abort attribution for every AbortCause,
 //   * counter conservation: per-site sums equal the thread totals, every
 //     attempt ends as one commit or abort, and the site reset zeroes all,
+//   * one writer per counter: owner-thread adds stay exact and monotone
+//     while a fourth thread polls both aggregations (TSan-clean),
 //   * trace ring wrap-around, field round-trip, and a concurrent
 //     emit/snapshot/reset stress (TSan-clean),
 //   * export smoke: tle-obs/v1 JSON, the ranked site table, Chrome trace.
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -496,6 +499,76 @@ TEST(ObsConservation, SiteRowsSumToThreadTotalsAndResetToZero) {
       EXPECT_EQ(t[id].quiesce_ns.total(), 0u);
     }
   }
+}
+
+// One writer per counter: a counter's only writer is its slot's owner, so
+// count() adds with a relaxed load and store instead of a locked RMW. Three
+// committers run a fixed number of transactions at one named site while a
+// fourth thread polls both aggregations: every poll must read monotone
+// totals, and at join the thread totals and the site row must be exact (a
+// lost add shows as a shortfall; under TSan a racy add shows as a report).
+TEST(ObsConservation, OwnerCountersStayExactUnderConcurrentPolling) {
+  ModeGuard g(ExecMode::Htm);
+  ProfileGuard pg;
+  reset_stats();
+  constexpr int kCommitters = 3;
+  constexpr std::uint64_t kTxns = 20000;
+  constexpr std::uint64_t kTotal = kCommitters * kTxns;
+  const obs::TxSite& site = TLE_TX_SITE("obs/owner_exact");
+
+  // One variable per committer, each on its own commit stripe, so no
+  // attempt can abort: the expected counts are exact, not bounds.
+  constexpr int kPool = 4096;
+  auto pool = std::make_unique<tm_var<long>[]>(kPool);
+  tm_var<long>* vars[kCommitters] = {};
+  int found = 0;
+  for (int i = 0; i < kPool && found < kCommitters; ++i) {
+    bool fresh = true;
+    for (int k = 0; k < found; ++k)
+      fresh &= stripe_of(pool[i]) != stripe_of(*vars[k]);
+    if (fresh) vars[found++] = &pool[i];
+  }
+  ASSERT_EQ(found, kCommitters) << "could not place vars on distinct stripes";
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t last_starts = 0, last_site_commits = 0;
+  bool monotone = true;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const StatsSnapshot s = aggregate_stats();
+      const obs::SiteProfile p = profile_of("obs/owner_exact");
+      monotone &= s.txn_starts >= last_starts && s.txn_starts <= kTotal &&
+                  p.commits >= last_site_commits && p.commits <= kTotal;
+      last_starts = s.txn_starts;
+      last_site_commits = p.commits;
+      ++polls;
+    }
+  });
+  run_threads(kCommitters, [&](int t) {
+    for (std::uint64_t i = 0; i < kTxns; ++i)
+      atomic_do(site, [&](TxContext& tx) {
+        tx.write(*vars[t], tx.read(*vars[t]) + 1);
+      });
+  });
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_TRUE(monotone) << "a poll read a total that went back or overshot";
+  const StatsSnapshot s = aggregate_stats();
+  EXPECT_EQ(s.txn_starts, kTotal);
+  EXPECT_EQ(s.commits, kTotal);
+  EXPECT_EQ(s.aborts_total(), 0u);
+  const obs::SiteProfile p = profile_of("obs/owner_exact");
+  EXPECT_EQ(p.attempts, kTotal);
+  EXPECT_EQ(p.commits, kTotal);
+  EXPECT_EQ(p.aborts_total(), 0u);
+  std::uint64_t hist = 0;
+  for (std::uint64_t b : p.attempt_hist) hist += b;
+  EXPECT_EQ(hist, kTotal) << "attempt histogram lost samples";
+  for (tm_var<long>* v : vars)
+    EXPECT_EQ(v->unsafe_get(), static_cast<long>(kTxns));
 }
 
 // ---------------------------------------------------------------------------

@@ -225,6 +225,50 @@ class HtmReaderHold {
   std::thread thread_;
 };
 
+/// A Box holding 41 in both cells, placed on a different commit stripe than
+/// `current`: a privatizing swap of `current` then bumps only current's
+/// stripe, so a zombie's later read of the box's second cell still passes
+/// its own-stripe check — the narrowest form of the window. nullptr if no
+/// placement was found.
+Box* box_off_stripe_of(const tm_var<Box*>& current) {
+  Box* victim = nullptr;
+  std::vector<Box*> rejects;
+  for (int i = 0; i < 256 && !victim; ++i) {
+    Box* b = new Box;
+    if (htm_stripe_index(&b->a) != htm_stripe_index(&current))
+      victim = b;
+    else
+      rejects.push_back(b);
+  }
+  for (Box* b : rejects) delete b;
+  if (victim) {
+    victim->a.unsafe_set(41);
+    victim->b.unsafe_set(41);
+  }
+  return victim;
+}
+
+/// The zombie reader of both rendezvous tests: reads `current` and its
+/// first cell, signals stage 1, waits for stage 2 (the privatizer has
+/// committed and freed), then loads the second cell and records what the
+/// first attempt saw in `zombie_b` (retries read the fresh box).
+std::thread zombie_reader(tm_var<Box*>& current, std::atomic<int>& stage,
+                          std::atomic<long>& zombie_b) {
+  return std::thread([cur = &current, st = &stage, zb = &zombie_b] {
+    atomic_do([&](TxContext& tx) {
+      Box* box = tx.read(*cur);
+      sink(tx.read(box->a));
+      int expect0 = 0;
+      st->compare_exchange_strong(expect0, 1, std::memory_order_acq_rel);
+      while (st->load(std::memory_order_acquire) < 2) {
+      }
+      const long b = tx.read(box->b);  // the zombie load
+      long unset = -1;
+      zb->compare_exchange_strong(unset, b, std::memory_order_acq_rel);
+    });
+  });
+}
+
 TEST(PrivatizationZombie, ZombieHtmReaderSurvivesPrivatizingFree) {
   // The §IV identity "HTM needs no quiescence" assumes coherence aborts.
   // Our simulated HTM validates lazily, so a reader that cut a clean
@@ -237,43 +281,14 @@ TEST(PrivatizationZombie, ZombieHtmReaderSurvivesPrivatizingFree) {
   ModeGuard g(ExecMode::Htm);
   reset_stats();
 
-  // Place the victim box on a different commit stripe than the `current`
-  // cell: the privatizing swap then bumps only current's stripe, so the
-  // zombie's later read of box->b takes the unsubscribed single-load fast
-  // path — the narrowest form of the window.
   tm_var<Box*> current(nullptr);
-  Box* victim = nullptr;
-  std::vector<Box*> rejects;
-  for (int i = 0; i < 256 && !victim; ++i) {
-    Box* b = new Box;
-    if (htm_stripe_index(&b->a) != htm_stripe_index(&current))
-      victim = b;
-    else
-      rejects.push_back(b);
-  }
-  for (Box* b : rejects) delete b;
+  Box* victim = box_off_stripe_of(current);
   ASSERT_NE(victim, nullptr) << "could not place box off current's stripe";
-  victim->a.unsafe_set(41);
-  victim->b.unsafe_set(41);
   current.unsafe_set(victim);
 
   std::atomic<int> stage{0};       // 0 = start, 1 = reader mid-txn, 2 = freed
   std::atomic<long> zombie_b{-1};  // what the zombie load returned
-
-  std::thread reader([&] {
-    atomic_do([&](TxContext& tx) {
-      Box* box = tx.read(current);
-      sink(tx.read(box->a));
-      int expect0 = 0;
-      stage.compare_exchange_strong(expect0, 1, std::memory_order_acq_rel);
-      while (stage.load(std::memory_order_acquire) < 2) {
-      }
-      const long b = tx.read(box->b);  // the zombie load
-      long unset = -1;  // record the first attempt only; retries see `fresh`
-      zombie_b.compare_exchange_strong(unset, b, std::memory_order_acq_rel);
-    });
-  });
-
+  std::thread reader = zombie_reader(current, stage, zombie_b);
   while (stage.load(std::memory_order_acquire) < 1) {
   }
   // Privatize: swap the box out and commit. HTM commits never quiesce, so
@@ -333,27 +348,59 @@ TEST(PrivatizationZombie, RoutedBlocksDrainOnNextGracePeriod) {
   EXPECT_GE(after.tm_frees, 1u);
 }
 
-TEST(PrivatizationZombie, NoQuiesceIgnoredWhileHtmReadersInFlight) {
-  // no_quiesce() is a claim that the section never privatizes; under the
-  // simulated HTM that claim must not license anything downstream while
-  // lazily-validating peers are in flight. The runtime ignores the request
-  // with accounting instead of honoring it.
+TEST(PrivatizationZombie, NoQuiesceHtmFreeWaitsInLimboForReaders) {
+  // no_quiesce() claims a section needs no quiescence. Under HTM the
+  // request is only counted: HTM commits never quiesce, and every HTM free
+  // waits in limbo for a grace period whatever the section claims. Here the
+  // freeing commit calls no_quiesce() while a zombie reader still holds the
+  // block: the block must stay parked (limbo_enqueued moves, tm_frees does
+  // not, and the zombie's load reads live storage; ASan flags any early
+  // release) until tm_fence() lets it drain.
   ModeGuard g(ExecMode::Htm);
-  tm_var<long> cell(0);
-  tm_var<long> other(0);
+  tm_var<Box*> current(nullptr);
+  Box* victim = box_off_stripe_of(current);
+  ASSERT_NE(victim, nullptr) << "could not place box off current's stripe";
+  current.unsafe_set(victim);
+  // Empty this thread's limbo first (an earlier test in the same process
+  // may have left a batch), so every free counted below is this block.
+  tm_fence();
+  tm_private_delete(new long(0));
   reset_stats();
 
-  {
-    HtmReaderHold hold(cell);
-    atomic_do([&](TxContext& tx) {
-      tx.no_quiesce();
-      tx.write(other, 1L);
-    });
+  std::atomic<int> stage{0};
+  std::atomic<long> zombie_b{-1};
+  std::thread reader = zombie_reader(current, stage, zombie_b);
+  while (stage.load(std::memory_order_acquire) < 1) {
   }
+  Box* fresh = new Box;
+  atomic_do([&](TxContext& tx) {
+    tx.no_quiesce();
+    tx.destroy(tx.read(current));
+    tx.write(current, fresh);
+  });
+  const auto held = aggregate_stats();
+  EXPECT_EQ(held.noquiesce_requests, 1u);
+  EXPECT_EQ(held.limbo_enqueued, 1u) << "the freed block skipped limbo";
+  EXPECT_EQ(held.tm_frees, 0u)
+      << "the freed block left limbo while an HTM reader held it";
+  // With an (incorrect) release the allocator could hand the block back
+  // here, and these values would become the zombie's view of box->b.
+  Box* sentinel = new Box;
+  sentinel->a.unsafe_set(1111);
+  sentinel->b.unsafe_set(2222);
+  stage.store(2, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(zombie_b.load(), 41)
+      << "zombie HTM reader observed freed storage";
 
-  const auto s = aggregate_stats();
-  EXPECT_GE(s.noquiesce_ignored_htm, 1u)
-      << "no_quiesce honored while an HTM reader was in flight";
+  // A grace period now covers the batch; the next commit drains it.
+  tm_fence();
+  atomic_do([&](TxContext& tx) { tx.write(current, fresh); });
+  const auto after = aggregate_stats();
+  EXPECT_EQ(after.limbo_drained, 1u);
+  EXPECT_EQ(after.tm_frees, 1u);
+  delete sentinel;
+  delete fresh;
 }
 
 TEST(PrivatizationZombie, HtmZombieFaultHookWidensWindowSafely) {

@@ -52,11 +52,14 @@
 //         "gov_watchdog_escalations": <uint> }, ... ],
 //     "acceptance": {                    // on-vs-off at the widest cell
 //       "threads": <int>,
-//       "commits_ratio": <double>,       // elided-rate ratio, >= 2.0 expected
-//       "total_ratio": <double>,         // wall-clock txns/s ratio (context)
+//       "commits_ratio": <double|null>,  // elided-rate ratio, >= 2.0 expected
+//       "total_ratio": <double|null>,    // wall-clock txns/s ratio (context)
 //       "fallback_drop": <double>,       // >= 0.5 expected
 //       "convoy_depth_on": <double>, "convoy_depth_off": <double> }
 //   }
+//
+// A ratio is null when the cause-blind arm's rate is 0: it is undefined, and
+// the >= 2x gate then passes on any elided commit of the cause-aware arm.
 //
 // `--smoke` runs two tiny lemming cells plus self-checks and is wired into
 // the tier-1 ctest suite; the full run also executes the sweep and checks
@@ -348,21 +351,20 @@ void emit_json(const char* path, const std::vector<SweepResult>& sweep,
   j.begin_obj();
   j.kv("threads", static_cast<std::uint64_t>(accept_threads));
   if (on && off) {
-    const double ratio =
-        off->elided_commits_per_sec() > 0
-            ? on->elided_commits_per_sec() / off->elided_commits_per_sec()
-            : 0.0;
-    const double total_ratio =
-        off->total_txns_per_sec() > 0
-            ? on->total_txns_per_sec() / off->total_txns_per_sec()
-            : 0.0;
+    auto ratio = [&j](const char* k, double num, double base) {
+      if (base > 0)
+        j.kv(k, num / base);
+      else
+        j.kv_null(k);
+    };
+    ratio("commits_ratio", on->elided_commits_per_sec(),
+          off->elided_commits_per_sec());
+    ratio("total_ratio", on->total_txns_per_sec(), off->total_txns_per_sec());
     const double drop =
         off->stats.serial_fallbacks > 0
             ? 1.0 - static_cast<double>(on->stats.serial_fallbacks) /
                         static_cast<double>(off->stats.serial_fallbacks)
             : 0.0;
-    j.kv("commits_ratio", ratio);
-    j.kv("total_ratio", total_ratio);
     j.kv("fallback_drop", drop);
     j.kv("convoy_depth_on", on->convoy_depth());
     j.kv("convoy_depth_off", off->convoy_depth());
@@ -431,20 +433,24 @@ int main(int argc, char** argv) {
   if (!smoke && lemming.size() == 2) {
     const LemmingResult& off = lemming[0];
     const LemmingResult& on = lemming[1];
-    const double ratio =
-        off.elided_commits_per_sec() > 0
-            ? on.elided_commits_per_sec() / off.elided_commits_per_sec()
-            : 0.0;
-    std::printf("acceptance: elided commits ratio %.2fx (need >= 2.0), "
-                "total txns ratio %.2fx, fallbacks "
+    const double on_rate = on.elided_commits_per_sec();
+    const double off_rate = off.elided_commits_per_sec();
+    // "undefined" when the cause-blind arm elided nothing.
+    auto ratio = [](double num, double base) {
+      char buf[32] = "undefined";
+      if (base > 0) std::snprintf(buf, sizeof buf, "%.2fx", num / base);
+      return std::string(buf);
+    };
+    std::printf("acceptance: elided commits ratio %s (need >= 2.0), "
+                "total txns ratio %s, fallbacks "
                 "%llu -> %llu (need >= 50%% drop)\n",
-                ratio,
-                off.total_txns_per_sec() > 0
-                    ? on.total_txns_per_sec() / off.total_txns_per_sec()
-                    : 0.0,
+                ratio(on_rate, off_rate).c_str(),
+                ratio(on.total_txns_per_sec(), off.total_txns_per_sec()).c_str(),
                 static_cast<unsigned long long>(off.stats.serial_fallbacks),
                 static_cast<unsigned long long>(on.stats.serial_fallbacks));
-    check(ratio >= 2.0, "governor >= 2x cause-blind elided commits/s");
+    // Compared without dividing, so a cause-blind rate of 0 cannot fail it.
+    check(on_rate > 0 && on_rate >= 2.0 * off_rate,
+          "governor >= 2x cause-blind elided commits/s");
     check(on.stats.serial_fallbacks * 2 <= off.stats.serial_fallbacks,
           "governor halves serial fallbacks");
   }

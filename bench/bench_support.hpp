@@ -117,6 +117,12 @@ class JsonWriter {
     out_ += buf;
     value_pending_ = false;
   }
+  /// `"k":null`, for a value that is undefined, such as a ratio over zero.
+  void kv_null(const char* k) {
+    key(k);
+    out_ += "null";
+    value_pending_ = false;
+  }
 
   const std::string& str() const { return out_; }
 

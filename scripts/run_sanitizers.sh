@@ -10,7 +10,9 @@
 # sampler ticking against live counter bumps, owner-only counter adds
 # polled by a concurrent aggregator), the contention governor (drain waits
 # under racing serial writers), and the striped commit sequence (per-stripe
-# seqlock acquisition/release ordering).
+# seqlock acquisition/release ordering). The ASan half also runs the codec
+# suites (index arithmetic of the BWT rotation sort, the decoder's bounds on
+# malformed blocks); they are single-threaded, so TSan skips them.
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period.
@@ -37,6 +39,8 @@ suite_extra() {
   esac
 }
 SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test tm_stripe_test tm_protocol_test"
+# Codec suites, built from the codec sources instead of the TM core.
+CODEC_SUITES="bzip_test bzip_fuzz_test"
 
 # Seeded fault matrix: rerun the suites most sensitive to the perturbed
 # windows with the env-armed chaos plan, so the sanitizers watch the Dekker
@@ -54,15 +58,29 @@ FAULT_SEED=20260806
 PRIV_SEEDS="1 2 3 4 5"
 PRIV_PLAN="delay@htm_zombie=0.3/20000,yield@htm_zombie=0.3"
 
+# build_run <suite> <preset> <flags> <sources...>: compile one suite, run it.
+build_run() {
+  local test=$1 name=$2 flags=$3
+  shift 3
+  echo "== $test ($name)"
+  # shellcheck disable=SC2086
+  $CXX $flags -fno-omit-frame-pointer -g -std=c++20 -Isrc -Itests \
+    "tests/$test.cpp" "$@" $LIBS -o "$OUT/$test-$name"
+  "$OUT/$test-$name"
+}
+
 run_preset() {
   local name=$1 flags=$2
+  # Codec suites first, so a failing suite later on cannot keep them from
+  # running.
+  if [ "$name" = asan ]; then
+    for test in $CODEC_SUITES; do
+      build_run "$test" "$name" "$flags" src/bzip/*.cpp
+    done
+  fi
   for test in $SUITES; do
-    echo "== $test ($name)"
     # shellcheck disable=SC2086
-    $CXX $flags -fno-omit-frame-pointer -g -std=c++20 -Isrc -Itests \
-      "tests/$test.cpp" $TM_SRCS $(suite_extra "$test") $LIBS \
-      -o "$OUT/$test-$name"
-    "$OUT/$test-$name"
+    build_run "$test" "$name" "$flags" $TM_SRCS $(suite_extra "$test")
   done
   for test in $FAULT_SUITES; do
     echo "== $test ($name, TLE_FAULT_SEED=$FAULT_SEED)"

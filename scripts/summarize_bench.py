@@ -176,9 +176,13 @@ def summarize_governor(path):
               f"watchdog={c.get('gov_watchdog_escalations', 0)}")
     acc = doc.get("acceptance", {})
     if acc:
+        # A ratio is null when its base, the cause-blind arm, read 0.
+        def ratio(key):
+            v = acc.get(key)
+            return "undefined" if v is None else f"{v:.2f}x"
         print(f"  acceptance @ {acc.get('threads', '?')}T: "
-              f"elided ratio {acc.get('commits_ratio', 0):.2f}x "
-              f"(>= 2.0), total ratio {acc.get('total_ratio', 0):.2f}x, "
+              f"elided ratio {ratio('commits_ratio')} "
+              f"(>= 2.0), total ratio {ratio('total_ratio')}, "
               f"fallback drop {100 * acc.get('fallback_drop', 0):.1f}% "
               f"(>= 50%)")
 

@@ -114,7 +114,7 @@ DecodeResult decompress_block(const std::uint8_t* data, std::size_t n) {
 
   std::vector<std::uint8_t> mtf;
   mtf.reserve(rle1_size);
-  if (!zrle_decode(symbols.data(), symbols.size(), &mtf)) {
+  if (!zrle_decode(symbols.data(), symbols.size(), rle1_size, &mtf)) {
     r.error = "malformed run-length stream";
     return r;
   }

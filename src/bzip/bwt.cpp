@@ -1,76 +1,92 @@
 #include "bzip/bwt.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 namespace tle::bzip {
-
-namespace {
-
-/// Counting sort of `idx` by key `keys[(i + shift) % n]`, stable.
-/// keys values must lie in [0, bound).
-void counting_pass(const std::vector<std::uint32_t>& keys, std::size_t shift,
-                   std::uint32_t bound, std::vector<std::uint32_t>& idx,
-                   std::vector<std::uint32_t>& tmp,
-                   std::vector<std::uint32_t>& count) {
-  const std::size_t n = idx.size();
-  count.assign(bound + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++count[keys[(i + shift) % n]];
-  std::uint32_t sum = 0;
-  for (auto& c : count) {
-    const std::uint32_t t = c;
-    c = sum;
-    sum += t;
-  }
-  tmp.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t rotation = idx[i];
-    tmp[count[keys[(rotation + shift) % n]]++] = rotation;
-  }
-  idx.swap(tmp);
-}
-
-}  // namespace
 
 BwtResult bwt_forward(const std::uint8_t* data, std::size_t n) {
   BwtResult out;
   if (n == 0) return out;
-  if (n == 1) {
-    out.last_column.assign(1, data[0]);
-    out.primary_index = 0;
-    return out;
+
+  // sa: rotations sorted by their first `len` bytes, in groups of equal
+  // prefixes. rank[i]: sa position of the first rotation in i's group, so
+  // ranks order the groups and each group's rank is also its bucket head.
+  // start[p] != 0: a group begins at sa position p.
+  std::vector<std::uint32_t> sa(n), next(n), key2(n), rank(n), head(n);
+  std::vector<std::uint8_t> start(n);
+
+  // Seed: bucket sort by the first two bytes, ascending index within a bucket.
+  {
+    std::vector<std::uint32_t> bucket(1u << 16, 0);
+    auto pair_at = [&](std::size_t i) {
+      return static_cast<std::uint32_t>(data[i]) << 8 |
+             data[i + 1 < n ? i + 1 : 0];
+    };
+    for (std::size_t i = 0; i < n; ++i) ++bucket[pair_at(i)];
+    std::uint32_t sum = 0;
+    for (auto& b : bucket) {
+      const std::uint32_t t = b;
+      b = sum;
+      sum += t;
+    }
+    for (std::size_t i = 0; i < n; ++i) rank[i] = bucket[pair_at(i)];
+    for (std::size_t i = 0; i < n; ++i)
+      sa[bucket[pair_at(i)]++] = static_cast<std::uint32_t>(i);
+  }
+  std::size_t groups = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    start[p] = rank[sa[p]] == p;
+    groups += start[p];
+    head[p] = static_cast<std::uint32_t>(p);
   }
 
-  // rank[i]: equivalence class of rotation i under the current prefix length.
-  std::vector<std::uint32_t> rank(n), idx(n), tmp(n), count, next_rank(n);
-  for (std::size_t i = 0; i < n; ++i) rank[i] = data[i];
-  std::iota(idx.begin(), idx.end(), 0u);
-
-  std::uint32_t classes = 256;
-  for (std::size_t k = 1;; k <<= 1) {
-    // Radix sort rotations by (rank[i], rank[i+k]) — least significant first.
-    counting_pass(rank, k % n, classes, idx, tmp, count);
-    counting_pass(rank, 0, classes, idx, tmp, count);
-
-    // Re-rank.
-    next_rank[idx[0]] = 0;
-    std::uint32_t r = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const std::uint32_t a = idx[i], b = idx[i - 1];
-      if (rank[a] != rank[b] ||
-          rank[(a + k) % n] != rank[(b + k) % n])
-        ++r;
-      next_rank[a] = r;
+  // Doubling (Manber–Myers): rotation i's second half is rotation i + len,
+  // so walking sa and stepping each rotation back by len lists the rotations
+  // in second-key order. One stable counting pass by rank then sorts them by
+  // (rank[i], rank[i + len]), i.e. by their first 2 * len bytes.
+  for (std::size_t len = 2; groups < n && len < n; len *= 2) {
+    std::uint32_t second = 0;  // rank[sa[p]]: the second key of sa[p] - len
+    for (std::size_t p = 0; p < n; ++p) {
+      if (start[p]) second = static_cast<std::uint32_t>(p);
+      const std::uint32_t j = sa[p];
+      const auto i =
+          static_cast<std::uint32_t>(j >= len ? j - len : j + n - len);
+      const std::uint32_t q = head[rank[i]]++;
+      next[q] = i;
+      key2[q] = second;
     }
-    rank.swap(next_rank);
-    classes = r + 1;
-    if (classes == n || k >= n) break;
+    // Re-rank: within an old group, a new group begins where the second key
+    // changes. start[0] is always set, so key2[p - 1] is never read at p = 0.
+    std::uint32_t first = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      if (start[p] || key2[p] != key2[p - 1]) {
+        groups += !start[p];
+        start[p] = 1;
+        first = static_cast<std::uint32_t>(p);
+        head[p] = first;
+      }
+      rank[next[p]] = first;
+    }
+    sa.swap(next);
+  }
+
+  // Groups left now hold equal rotations (periodic input): order each one by
+  // start index.
+  if (groups < n) {
+    for (std::size_t p = 0; p < n;) {
+      std::size_t q = p + 1;
+      while (q < n && !start[q]) ++q;
+      std::sort(sa.begin() + static_cast<std::ptrdiff_t>(p),
+                sa.begin() + static_cast<std::ptrdiff_t>(q));
+      p = q;
+    }
   }
 
   out.last_column.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t start = idx[j];
-    out.last_column[j] = data[(start + n - 1) % n];
-    if (start == 0) out.primary_index = static_cast<std::uint32_t>(j);
+    const std::uint32_t s = sa[j];
+    out.last_column[j] = data[s == 0 ? n - 1 : s - 1];
+    if (s == 0) out.primary_index = static_cast<std::uint32_t>(j);
   }
   return out;
 }

@@ -11,7 +11,10 @@ struct BwtResult {
   std::uint32_t primary_index = 0;  ///< row of the original string
 };
 
-/// Forward transform. O(n log n): prefix doubling with counting sort.
+/// Forward transform: the rotations in cyclic lexicographic order, equal
+/// rotations by ascending start index. O(n log n): a two-byte bucket sort,
+/// then Manber–Myers prefix doubling, each round one stable counting pass
+/// whose second-key order comes from the previous round's order.
 BwtResult bwt_forward(const std::uint8_t* data, std::size_t n);
 
 /// Inverse transform.

@@ -121,26 +121,33 @@ std::vector<std::uint16_t> zrle_encode(const std::uint8_t* mtf, std::size_t n) {
   return out;
 }
 
-bool zrle_decode(const std::uint16_t* symbols, std::size_t n,
+bool zrle_decode(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
                  std::vector<std::uint8_t>* out) {
+  std::size_t room = limit;  // bytes the stream may still produce
   std::size_t run = 0;
   std::size_t mult = 1;
   auto flush_run = [&] {
     out->insert(out->end(), run, std::uint8_t{0});
+    room -= run;
     run = 0;
     mult = 1;
   };
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t s = symbols[i];
     if (s == kRunA || s == kRunB) {
-      run += (s == kRunA ? 1 : 2) * mult;
+      // A run stops at the limit before anything is allocated for it.
+      // mult <= run + 1 <= room + 1, so the digit cannot overflow.
+      const std::size_t digit = s == kRunA ? mult : 2 * mult;
+      if (digit > room - run) return false;
+      run += digit;
       mult *= 2;
       continue;
     }
     flush_run();
     if (s == kEob) return i + 1 == n;  // EOB must be the final symbol
-    if (s > 256) return false;
+    if (s > 256 || room == 0) return false;
     out->push_back(static_cast<std::uint8_t>(s - 1));
+    --room;
   }
   return false;  // missing EOB
 }

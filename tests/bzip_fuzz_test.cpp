@@ -4,7 +4,10 @@
 
 #include <numeric>
 
+#include "bzip/bitio.hpp"
 #include "bzip/block_codec.hpp"
+#include "bzip/huffman.hpp"
+#include "bzip/mtf_rle.hpp"
 #include "util/rng.hpp"
 
 namespace tle::bzip {
@@ -107,6 +110,31 @@ TEST(BzipFuzz, HeaderFieldCorruptionAlwaysDetected) {
     const auto dec = decompress_block(bad);
     EXPECT_FALSE(dec.ok && dec.data == in) << "field " << field;
   }
+}
+
+TEST(BzipFuzz, ZeroRunPastDeclaredSizeRejected) {
+  // A block that declares a legal 100000-byte RLE1 stream, but whose payload
+  // is 41 RUNB digits and EOB: one zero run of 2 * (2^41 - 1) bytes. The
+  // decoder must reject the run, not try to allocate it.
+  std::vector<std::uint8_t> block = compress_block(nullptr, 0);
+  block.resize(20);  // the header: magic, size, CRC, RLE1 size, BWT index
+  for (std::size_t field : {1u, 3u})
+    for (int b = 0; b < 4; ++b)
+      block[field * 4 + b] = static_cast<std::uint8_t>(100000u >> (8 * b));
+  std::vector<std::uint8_t> lengths(kSymbolAlphabet, 0);
+  lengths[kRunB] = 1;
+  lengths[kEob] = 1;
+  const auto codes = canonical_codes(lengths);
+  BitWriter bw;
+  for (auto l : lengths) bw.put(l, 5);  // the 5-bit code-length table
+  for (int d = 0; d < 41; ++d) bw.put(codes[kRunB], 1);
+  bw.put(codes[kEob], 1);
+  const auto payload = bw.finish();
+  block.insert(block.end(), payload.begin(), payload.end());
+
+  const auto dec = decompress_block(block);
+  EXPECT_FALSE(dec.ok);
+  EXPECT_EQ(dec.error, "malformed run-length stream");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // tests and corruption detection tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "bzip/bitio.hpp"
@@ -126,6 +128,71 @@ TEST(Bwt, EdgeCases) {
             "abababab");
 }
 
+/// The output bwt_forward must produce, by brute force: rotation start
+/// indices sorted by cyclic comparison, equal rotations by start index.
+BwtResult reference_bwt(const std::vector<std::uint8_t>& in) {
+  const std::size_t n = in.size();
+  std::vector<std::uint32_t> rotations(n);
+  std::iota(rotations.begin(), rotations.end(), 0u);
+  std::sort(rotations.begin(), rotations.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              for (std::size_t k = 0; k < n; ++k) {
+                const std::uint8_t x = in[(a + k) % n], y = in[(b + k) % n];
+                if (x != y) return x < y;
+              }
+              return a < b;
+            });
+  BwtResult r;
+  for (std::size_t j = 0; j < n; ++j) {
+    r.last_column.push_back(in[(rotations[j] + n - 1) % n]);
+    if (rotations[j] == 0) r.primary_index = static_cast<std::uint32_t>(j);
+  }
+  return r;
+}
+
+TEST(Bwt, MatchesReferenceRotationSort) {
+  // Round trips cannot see the order of equal rotations; the compressed
+  // stream can, so compare the transform itself.
+  auto expect_reference = [](const std::vector<std::uint8_t>& in,
+                             const std::string& what) {
+    const BwtResult want = reference_bwt(in);
+    const BwtResult got = bwt_forward(in.data(), in.size());
+    ASSERT_EQ(str(got.last_column), str(want.last_column)) << what;
+    ASSERT_EQ(got.primary_index, want.primary_index) << what;
+  };
+  Xoshiro256 rng(11);
+  auto random_bytes = [&](std::size_t n, std::uint64_t alphabet) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(alphabet));
+    return v;
+  };
+  for (std::size_t n = 1; n <= 64; ++n) {
+    const std::string at = " n=" + std::to_string(n);
+    for (std::uint64_t alphabet : {2, 4, 256})
+      expect_reference(random_bytes(n, alphabet),
+                       "random/" + std::to_string(alphabet) + at);
+    expect_reference(std::vector<std::uint8_t>(n, 'a'), "all-equal" + at);
+    // Periods that divide n give equal rotations; the others give
+    // rotations that agree on long prefixes.
+    for (std::size_t period = 2; period <= 8 && period < n; ++period) {
+      const auto unit = random_bytes(period, 2);
+      std::vector<std::uint8_t> in(n);
+      for (std::size_t i = 0; i < n; ++i) in[i] = unit[i % period];
+      expect_reference(in, "period " + std::to_string(period) + at);
+    }
+  }
+  // Longer inputs take more doubling rounds.
+  for (std::size_t n : {1000u, 4096u})
+    for (std::uint64_t alphabet : {2, 4, 256})
+      expect_reference(random_bytes(n, alphabet),
+                       "random/" + std::to_string(alphabet) +
+                           " n=" + std::to_string(n));
+  std::vector<std::uint8_t> periodic(600);
+  for (std::size_t i = 0; i < periodic.size(); ++i)
+    periodic[i] = "aab"[i % 3];
+  expect_reference(periodic, "period 3 n=600");
+}
+
 TEST(Bwt, RandomRoundTripProperty) {
   Xoshiro256 rng(99);
   for (int trial = 0; trial < 20; ++trial) {
@@ -223,8 +290,12 @@ TEST(Zrle, ZeroRunsEncodeCompactly) {
   const auto sym = zrle_encode(in.data(), in.size());
   EXPECT_LE(sym.size(), 12u);  // ~log2(1000) digits + EOB
   std::vector<std::uint8_t> out;
-  ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), &out));
+  ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), in.size(), &out));
   EXPECT_EQ(out, in);
+  std::vector<std::uint8_t> cut;
+  EXPECT_FALSE(zrle_decode(sym.data(), sym.size(), in.size() - 1, &cut))
+      << "a run past the limit";
+  EXPECT_TRUE(cut.empty());
 }
 
 TEST(Zrle, AllRunLengthsRoundTrip) {
@@ -233,21 +304,24 @@ TEST(Zrle, AllRunLengthsRoundTrip) {
     in.push_back(42);
     const auto sym = zrle_encode(in.data(), in.size());
     std::vector<std::uint8_t> out;
-    ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), &out)) << len;
+    ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), in.size(), &out)) << len;
     ASSERT_EQ(out, in) << len;
+    std::vector<std::uint8_t> cut;
+    ASSERT_FALSE(zrle_decode(sym.data(), sym.size(), in.size() - 1, &cut))
+        << "a literal past the limit, run " << len;
   }
 }
 
 TEST(Zrle, RejectsMissingEob) {
   const std::uint16_t syms[] = {kRunA, 5};
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(zrle_decode(syms, 2, &out));
+  EXPECT_FALSE(zrle_decode(syms, 2, 16, &out));
 }
 
 TEST(Zrle, RejectsTrailingGarbageAfterEob) {
   const std::uint16_t syms[] = {kEob, kRunA};
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(zrle_decode(syms, 2, &out));
+  EXPECT_FALSE(zrle_decode(syms, 2, 16, &out));
 }
 
 // ---------------------------------------------------------------------------

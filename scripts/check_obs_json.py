@@ -39,8 +39,6 @@ REQUIRED_COUNTERS = [
     "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",
     "htm_read_dedup", "htm_rw_hits", "stripe_bumps",
     "stripe_false_revalidations",
-    "tictoc_extensions", "tictoc_extension_fails", "tictoc_wts_waits",
-    "tictoc_lock_timeouts",
     "faults_injected", "fault_delays",
     "fault_forced_serial", "fault_forced_flush", "gov_serial_immediate",
     "gov_backoffs", "gov_immediate_retries", "gov_drain_waits",
@@ -57,8 +55,6 @@ SITE_FIELDS = ["id", "name", "file", "line", "attempts", "commits",
                "htm_retries", "quiesce_waits", "drain_waits", "storm_gated",
                "watchdog_escalations", "stripe_bumps",
                "stripe_false_revalidations",
-               "tictoc_extensions", "tictoc_extension_fails",
-               "tictoc_wts_waits", "tictoc_lock_timeouts",
                "htm_routed_frees", "priv_limbo_routed", "audit_hazard_arms",
                "aborts", "aborts_total",
                "attempt_ns_hist", "quiesce_ns_hist"]

@@ -38,7 +38,7 @@ suite_extra() {
     *) echo "" ;;
   esac
 }
-SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test tm_stripe_test tm_protocol_test"
+SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test tm_stripe_test"
 # Codec suites, built from the codec sources instead of the TM core.
 CODEC_SUITES="bzip_test bzip_fuzz_test"
 

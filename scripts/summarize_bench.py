@@ -224,53 +224,6 @@ def summarize_commit_scale(path):
               f"{acc.get('commits_ratio', 0):.2f}x (>= 3.0 full run)")
 
 
-def summarize_stm_algo(path):
-    """Commit-protocol shoot-out table from BENCH_stm_algo.json
-    ("tle-stm-algo/v1", emitted by bench/abl_stm_algo): speculative
-    commits/s per {algo, mix, threads} cell for ml_wt / gl_wt / tictoc
-    behind the StmProtocol seam, plus the tictoc-vs-ml_wt read-mostly
-    acceptance ratio and the TicToc-specific counters (rts extensions,
-    certification failures, commit-window lock waits/timeouts)."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"  (cannot read {path}: {e})")
-        return
-    if doc.get("schema") != "tle-stm-algo/v1":
-        print(f"  (unexpected schema {doc.get('schema')!r} in {path})")
-        return
-    print(f"== stm-algo: commit-protocol shoot-out "
-          f"({doc.get('secs_per_cell', 0)}s/cell) ==")
-    by_cfg = defaultdict(list)
-    for c in doc.get("cells", []):
-        by_cfg[(c.get("mix", "?"), c.get("algo", "?"))].append(c)
-    for (mix, algo), cells in sorted(by_cfg.items()):
-        cells.sort(key=lambda c: c.get("threads", 0))
-        parts = [f"{c.get('threads', 0)}T={c.get('commits_per_sec', 0):.3g}"
-                 for c in cells]
-        conflict = sum(c.get("aborts_conflict", 0) for c in cells)
-        valid = sum(c.get("aborts_validation", 0) for c in cells)
-        tag = f"  {mix:12s} {algo:7s} " + "  ".join(parts)
-        if conflict or valid:
-            tag += f"   (conflict={conflict:.0f} validation={valid:.0f})"
-        ext = sum(c.get("tictoc_extensions", 0) for c in cells)
-        if ext:
-            tag += (f" ext={ext:.0f}"
-                    f" ext_fail="
-                    f"{sum(c.get('tictoc_extension_fails', 0) for c in cells):.0f}"
-                    f" waits="
-                    f"{sum(c.get('tictoc_wts_waits', 0) for c in cells):.0f}"
-                    f" lock_to="
-                    f"{sum(c.get('tictoc_lock_timeouts', 0) for c in cells):.0f}")
-        print(tag)
-    acc = doc.get("acceptance", {})
-    if acc.get("commits_ratio") is not None:
-        print(f"  acceptance @ {acc.get('threads', '?')}T "
-              f"{acc.get('mix', '?')}: tictoc/ml_wt commits ratio "
-              f"{acc.get('commits_ratio', 0):.2f}x (>= 1.5 full run)")
-
-
 def summarize_obs(path):
     """Per-site profile table from a tle-obs/v1 document (emitted via
     TLE_STATS_DUMP=FILE by any binary linking the TM runtime, or by
@@ -409,9 +362,6 @@ def main():
         if schema == "tle-commit-scale/v1":
             summarize_commit_scale(path)
             return
-        if schema == "tle-stm-algo/v1":
-            summarize_stm_algo(path)
-            return
         if schema == "tle-metrics/v1":
             summarize_metrics(path)
             return
@@ -436,11 +386,6 @@ def main():
                                 "BENCH_commit_scale.json")
     if os.path.exists(commit_scale):
         summarize_commit_scale(commit_scale)
-
-    stm_algo = os.path.join(os.path.dirname(path) or ".",
-                            "BENCH_stm_algo.json")
-    if os.path.exists(stm_algo):
-        summarize_stm_algo(stm_algo)
 
     obs = os.path.join(os.path.dirname(path) or ".", "BENCH_obs.json")
     if os.path.exists(obs):
@@ -493,7 +438,7 @@ def main():
         print(f"  {n.split('/')[-2]}: {c.get('ops_per_sec', 0)/1e6:.2f}M ops/s quiesce={c.get('quiesce', 0):.0f} q_waits={c.get('q_waits', 0):.0f} abort_pct={c.get('abort_pct', 0):.4f}")
 
     print("== ablations ==")
-    for p in ["abl_quiesce_cc", "abl_htm_retry", "abl_lock_erasure", "abl_stm_algo", "abl_slices"]:
+    for p in ["abl_quiesce_cc", "abl_htm_retry", "abl_lock_erasure", "abl_slices"]:
         for n, _, c in fig(rows, p):
             extras = " ".join(
                 f"{k}={c[k]:.3g}" for k in

@@ -1,8 +1,9 @@
 // Runtime configuration for the TLE/TM runtime.
 //
 // The five algorithm configurations evaluated in the paper (Section VII) map
-// onto ExecMode values; quiescence behaviour (Section IV) is controlled
-// independently so the Figure-5 microbenchmarks can sweep it.
+// onto ExecMode values; the Stm* modes all run ml_wt, the STM algorithm the
+// paper used. Quiescence behaviour (Section IV) is controlled independently
+// so the Figure-5 microbenchmarks can sweep it.
 #pragma once
 
 #include <cstddef>
@@ -17,18 +18,6 @@ enum class ExecMode : std::uint8_t {
   StmCondVar,     ///< STM elision + transaction-friendly condition variables
   StmCondVarNoQ,  ///< as above, honoring TM_NoQuiesce requests
   Htm,            ///< simulated-HTM elision + condvars, serial fallback
-};
-
-/// Which STM algorithm the Stm* modes run. MlWt/GlWt mirror GCC libitm's
-/// method groups: ml_wt (the default the paper used) and gl_wt (a single
-/// global versioned lock, TML-style — cheap reads, zero write concurrency).
-/// TicToc is the timestamped-OCC third instance of the commit-protocol seam
-/// (src/tm/protocol/): write-back, per-orec {write_ts, read_ts}, commit-time
-/// timestamp allocation with read-set extension — no global clock at all.
-enum class StmAlgo : std::uint8_t {
-  MlWt,    ///< multiple orec locks, write-through (TinySTM-flavoured)
-  GlWt,    ///< one global versioned lock, write-through
-  TicToc,  ///< timestamped OCC, write-back (TicToc-flavoured)
 };
 
 /// When a committing STM transaction performs the epoch-based quiescence wait.
@@ -55,14 +44,12 @@ enum class AbortCause : std::uint8_t {
 };
 
 const char* to_string(ExecMode m) noexcept;
-const char* to_string(StmAlgo a) noexcept;
 const char* to_string(QuiescePolicy p) noexcept;
 const char* to_string(AbortCause c) noexcept;
 
 /// Global knobs. Mutated only between phases (never while transactions run).
 struct RuntimeConfig {
   ExecMode mode = ExecMode::Lock;
-  StmAlgo stm_algo = StmAlgo::MlWt;
   QuiescePolicy quiesce = QuiescePolicy::Always;
 
   /// Honor TxContext::no_quiesce() requests (the paper's TM_NoQuiesce API).

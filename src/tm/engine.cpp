@@ -1,12 +1,9 @@
 // The speculative engines and the shared commit/abort/quiescence machinery.
 //
-//   * STM: the commit protocol is a compile-time policy behind the
-//     StmProtocol seam (protocol/protocol.hpp) — ml_wt (encounter-time orec
-//     locks + TinySTM extension), gl_wt (TML global versioned lock), and
-//     tictoc (timestamped OCC, write-back, no global clock). This file owns
-//     everything protocol-independent: epochs, quiescence (paper Section
-//     IV), limbo reclamation, serial fallback, stats/obs, and the dispatch
-//     into the selected policy.
+//   * STM: ml_wt, GCC libitm's default method group and the algorithm the
+//     paper's STM numbers use — encounter-time orec write locks,
+//     write-through with an undo log, and a global version clock with
+//     TinySTM-style timestamp extension (orecs and clock in meta.hpp).
 //   * Simulated HTM: NOrec-shaped, with the commit sequence STRIPED — a
 //     table of padded seqlock words sharded by address (meta.hpp). A
 //     committer bumps only the stripes its write set touches (ascending
@@ -15,6 +12,9 @@
 //     L1 capacity model and eager fallback-lock subscription (paper Section
 //     II-A behaviours: a reader slot held from begin, and a per-access
 //     poll of the serial lock).
+//
+// Both engines share epochs, quiescence (paper Section IV), limbo
+// reclamation, serial fallback and stats/obs, all in this file.
 //
 // Abort is longjmp-based: speculative bodies must confine side effects to
 // tm_var accesses, TxContext::alloc/free, and deferred actions (the same
@@ -26,8 +26,8 @@
 #include "tm/audit.hpp"
 #include "tm/fault/fault.hpp"
 #include "tm/obs/site.hpp"
-#include "tm/protocol/protocol.hpp"
 #include "tm/serial_lock.hpp"
+#include "tm/stats.hpp"
 #include "tm/trace.hpp"
 #include "util/align.hpp"
 #include "util/timing.hpp"
@@ -36,26 +36,37 @@ namespace tle {
 
 namespace {
 
-using protocol::stm_protocol_dispatch;
-using protocol::detail::maybe_inject;
-using protocol::detail::maybe_perturb;
-using protocol::detail::st;
+TxStats& st(TxDesc& tx) noexcept { return *tx.stats; }
+
+/// Fault-injection decision point: consult the armed plan at `h` and abort
+/// with the injected cause if a rule fires. The abort takes the ordinary
+/// tx_abort path, so rollback, per-cause stats, per-site obs attribution and
+/// the retry/serial-fallback policy all treat it exactly like an organic
+/// abort — only the extra faults_injected row distinguishes it.
+void maybe_inject(TxDesc& tx, fault::Hook h) {
+  if (!fault::active()) return;
+  const AbortCause cause = fault::should_abort(h);
+  if (cause == AbortCause::None) return;
+  st(tx).bump(st(tx).faults_injected);
+  tx_abort(tx, cause);
+}
+
+/// Schedule-perturbation point: widen the handshake window at `h` with the
+/// plan's yield/sleep, accounting the delay to `stats`.
+void maybe_perturb(TxStats& stats, fault::Hook h) {
+  if (fault::active() && fault::perturb(h)) stats.bump(stats.fault_delays);
+}
 
 // Observability helpers: logged-set sizes for the flight recorder, read
-// while the logs are still intact (i.e. before clear_logs()). The STM sizes
-// are policy-defined (e.g. tictoc counts its buffered write set, not the
-// undo log it never keeps).
+// while the logs are still intact (i.e. before clear_logs()). STM counts
+// its read log and undo log.
 std::uint32_t obs_rset(const TxDesc& tx) noexcept {
-  if (tx.access == AccessMode::Htm)
-    return static_cast<std::uint32_t>(tx.hreads.size());
-  return stm_protocol_dispatch(
-      tx.algo, [&](auto p) { return decltype(p)::rset_size(tx); });
+  return static_cast<std::uint32_t>(
+      tx.access == AccessMode::Htm ? tx.hreads.size() : tx.reads.size());
 }
 std::uint32_t obs_wset(const TxDesc& tx) noexcept {
-  if (tx.access == AccessMode::Htm)
-    return static_cast<std::uint32_t>(tx.hwrites.size());
-  return stm_protocol_dispatch(
-      tx.algo, [&](auto p) { return decltype(p)::wset_size(tx); });
+  return static_cast<std::uint32_t>(
+      tx.access == AccessMode::Htm ? tx.hwrites.size() : tx.undo.size());
 }
 
 /// Close an attempt in the obs layer (for ob != 0): clear the in-flight
@@ -103,6 +114,124 @@ void epoch_exit(TxDesc& tx) noexcept {
   tx.slot->seq.fetch_add(1, std::memory_order_seq_cst);
   if (tx.slot->parked.load(std::memory_order_seq_cst) != 0)
     tx.slot->seq.notify_all();
+}
+
+// ---------------------------------------------------------------------------
+// STM: ml_wt (multiple orec locks, write-through)
+// ---------------------------------------------------------------------------
+
+/// Read-set validation. Aborts on any orec whose unlocked value changed or
+/// that is now owned by another transaction. An orec we ourselves own is
+/// valid iff the pre-lock value we stashed matches what the read observed.
+void stm_validate(TxDesc& tx) {
+  for (const ReadEntry& r : tx.reads) {
+    const std::uint64_t cur = r.orec->load(std::memory_order_acquire);
+    if (cur == r.seen) continue;
+    if (orec_locked(cur) && orec_owner(cur) == &tx) {
+      const std::uint32_t i = tx.owned_idx.find(r.orec);
+      if (i != AddrIndex::kNone && tx.owned[i].prev == r.seen) continue;
+    }
+    tx_abort(tx, AbortCause::Validation);
+  }
+}
+
+/// TinySTM timestamp extension: adopt the current clock if the read set is
+/// still valid; abort otherwise.
+void stm_extend(TxDesc& tx) {
+  const std::uint64_t now = gclock().load(std::memory_order_acquire);
+  stm_validate(tx);
+  tx.rv = now;
+}
+
+void stm_begin(TxDesc& tx) {
+  tx.rv = gclock().load(std::memory_order_acquire);
+}
+
+std::uint64_t stm_read(TxDesc& tx, const std::atomic<std::uint64_t>& cell) {
+  if (serial_lock().serial_requested())
+    tx_abort(tx, AbortCause::SerialPending);
+  std::atomic<std::uint64_t>& o = orec_for(&cell);
+  for (unsigned spin = 0;;) {
+    const std::uint64_t ov = o.load(std::memory_order_acquire);
+    if (orec_locked(ov)) {
+      if (orec_owner(ov) == &tx) {
+        // Read-own-write: write-through means memory holds the new value.
+        return cell.load(std::memory_order_relaxed);
+      }
+      tx_abort(tx, AbortCause::Conflict);
+    }
+    if (orec_timestamp(ov) > tx.rv) {
+      stm_extend(tx);
+      continue;  // re-read under the extended snapshot
+    }
+    const std::uint64_t val = cell.load(std::memory_order_acquire);
+    if (o.load(std::memory_order_acquire) != ov) {
+      spin_pause(spin++);
+      continue;  // concurrent lock/release between our two orec loads
+    }
+    // Repeat-read filter: a second read of an orec already logged with the
+    // SAME observed value adds no information — validation of the first
+    // entry covers it. A differing observation is still appended (superset
+    // validation), so abort outcomes are unchanged.
+    const std::uint32_t prior = tx.read_idx.find(&o);
+    if (prior != AddrIndex::kNone && tx.reads[prior].seen == ov) {
+      st(tx).bump(st(tx).stm_read_dedup);
+      return val;
+    }
+    tx.read_idx.insert(&o, static_cast<std::uint32_t>(tx.reads.size()));
+    tx.reads.push_back({&o, ov});
+    return val;
+  }
+}
+
+void stm_write(TxDesc& tx, std::atomic<std::uint64_t>& cell,
+               std::uint64_t value) {
+  if (serial_lock().serial_requested())
+    tx_abort(tx, AbortCause::SerialPending);
+  std::atomic<std::uint64_t>& o = orec_for(&cell);
+  for (;;) {
+    const std::uint64_t ov = o.load(std::memory_order_acquire);
+    if (orec_locked(ov)) {
+      if (orec_owner(ov) != &tx) tx_abort(tx, AbortCause::Conflict);
+      break;  // already own it
+    }
+    if (orec_timestamp(ov) > tx.rv) {
+      stm_extend(tx);
+      continue;
+    }
+    std::uint64_t expected = ov;
+    if (o.compare_exchange_strong(expected, orec_lockword(&tx),
+                                  std::memory_order_acq_rel)) {
+      tx.owned_idx.insert(&o, static_cast<std::uint32_t>(tx.owned.size()));
+      tx.owned.push_back({&o, ov});
+      break;
+    }
+    // Lost the race; loop re-examines the new value.
+  }
+  tx.undo.push_back({&cell, cell.load(std::memory_order_relaxed)});
+  cell.store(value, std::memory_order_relaxed);
+  tx.read_only = false;
+}
+
+void stm_commit(TxDesc& tx) {
+  if (tx.read_only) return;
+  const std::uint64_t wv = gclock().fetch_add(1, std::memory_order_acq_rel) + 1;
+  // If nobody committed since we started, the read set is trivially valid.
+  if (wv != tx.rv + 1) stm_validate(tx);
+  for (const OwnedOrec& o : tx.owned)
+    o.orec->store(orec_commit_release(o.prev, wv), std::memory_order_release);
+}
+
+/// Undo and release; safe at any point read/write/commit can abort, and on
+/// the exception path.
+void stm_rollback(TxDesc& tx) noexcept {
+  // Undo in reverse so multiply-written words regain their oldest value.
+  for (auto it = tx.undo.rbegin(); it != tx.undo.rend(); ++it)
+    it->addr->store(it->old, std::memory_order_relaxed);
+  // The release on the orec publishes the restored values; the incarnation
+  // bump invalidates readers racing with our speculation.
+  for (const OwnedOrec& o : tx.owned)
+    o.orec->store(orec_abort_release(o.prev), std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -733,8 +862,8 @@ namespace {
 }  // namespace
 
 void tx_begin_speculative(TxDesc& tx) {
-  const RuntimeConfig& cfg = config();
-  tx.access = cfg.mode == ExecMode::Htm ? AccessMode::Htm : AccessMode::Stm;
+  tx.access =
+      config().mode == ExecMode::Htm ? AccessMode::Htm : AccessMode::Stm;
   tx.is_serial = false;
   tx.depth = 1;
   tx.clear_logs();
@@ -765,12 +894,10 @@ void tx_begin_speculative(TxDesc& tx) {
       trace::emit(trace::Event::Begin, AbortCause::None, tx.site,
                   static_cast<std::uint16_t>(tx.attempts));
   }
-  if (tx.access == AccessMode::Stm) {
-    tx.algo = cfg.stm_algo;
-    stm_protocol_dispatch(tx.algo, [&](auto p) { decltype(p)::begin(tx); });
-  } else {
+  if (tx.access == AccessMode::Stm)
+    stm_begin(tx);
+  else
     htm_begin(tx);
-  }
   // After the engine begin so the abort rolls back a fully-formed attempt.
   maybe_inject(tx, fault::Hook::Begin);
 }
@@ -781,7 +908,7 @@ void tx_commit_speculative(TxDesc& tx) {
   // engine and every injectable cause.
   maybe_inject(tx, fault::Hook::Commit);
   if (tx.access == AccessMode::Stm)
-    stm_protocol_dispatch(tx.algo, [&](auto p) { decltype(p)::commit(tx); });
+    stm_commit(tx);
   else
     htm_commit(tx);
   epoch_exit(tx);
@@ -869,9 +996,7 @@ void tx_post_commit(TxDesc& tx) {
 }
 
 void tx_abort(TxDesc& tx, AbortCause cause) {
-  if (tx.access == AccessMode::Stm)
-    stm_protocol_dispatch(tx.algo,
-                          [&](auto p) { decltype(p)::rollback(tx); });
+  if (tx.access == AccessMode::Stm) stm_rollback(tx);
   // HTM rollback is trivial: buffered writes are simply dropped.
   epoch_exit(tx);
   serial_lock().read_unlock(*tx.slot);
@@ -887,9 +1012,7 @@ void tx_abort(TxDesc& tx, AbortCause cause) {
 
 void tx_rollback_for_exception(TxDesc& tx) {
   if (tx.is_serial) return;  // serial sections are irrevocable; no rollback
-  if (tx.access == AccessMode::Stm)
-    stm_protocol_dispatch(tx.algo,
-                          [&](auto p) { decltype(p)::rollback(tx); });
+  if (tx.access == AccessMode::Stm) stm_rollback(tx);
   epoch_exit(tx);
   serial_lock().read_unlock(*tx.slot);
   const std::uint32_t ob = obs::flags();
@@ -968,8 +1091,7 @@ std::uint64_t tx_read_word(TxDesc& tx, const std::atomic<std::uint64_t>& cell) {
       return cell.load(std::memory_order_relaxed);
     case AccessMode::Stm:
       maybe_inject(tx, fault::Hook::Read);
-      return stm_protocol_dispatch(
-          tx.algo, [&](auto p) { return decltype(p)::read(tx, cell); });
+      return stm_read(tx, cell);
     case AccessMode::Htm:
       maybe_inject(tx, fault::Hook::Read);
       return htm_read(tx, cell);
@@ -985,8 +1107,7 @@ void tx_write_word(TxDesc& tx, std::atomic<std::uint64_t>& cell,
       return;
     case AccessMode::Stm:
       maybe_inject(tx, fault::Hook::Write);
-      stm_protocol_dispatch(
-          tx.algo, [&](auto p) { decltype(p)::write(tx, cell, value); });
+      stm_write(tx, cell, value);
       return;
     case AccessMode::Htm:
       maybe_inject(tx, fault::Hook::Write);

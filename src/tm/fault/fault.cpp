@@ -116,7 +116,6 @@ constexpr NameMap kHookNames[] = {
     {"cv_enqueue", static_cast<int>(Hook::CvEnqueue)},
     {"cv_timeout", static_cast<int>(Hook::CvTimeout)},
     {"gov_drain", static_cast<int>(Hook::GovDrain)},
-    {"tt_commit", static_cast<int>(Hook::TtCommit)},
     {"htm_zombie", static_cast<int>(Hook::HtmZombieLoad)},
 };
 static_assert(sizeof(kHookNames) / sizeof(kHookNames[0]) == kHookCount);
@@ -177,9 +176,8 @@ bool parse_rule(const char* tok, std::size_t len, Rule& out) noexcept {
     out.kind = ActionKind::Abort;
     out.cause = static_cast<AbortCause>(cause);
     // Abort rules only make sense at speculative decision points: the
-    // begin/read/write/commit quartet plus tictoc's in-commit window.
-    if (static_cast<int>(out.hook) > static_cast<int>(Hook::Commit) &&
-        out.hook != Hook::TtCommit)
+    // begin/read/write/commit quartet.
+    if (static_cast<int>(out.hook) > static_cast<int>(Hook::Commit))
       return false;
   }
 
@@ -187,7 +185,8 @@ bool parse_rule(const char* tok, std::size_t len, Rule& out) noexcept {
   const char* end = tok + len;
   char* stop = nullptr;
   out.prob = std::strtod(num, &stop);
-  if (stop == num || out.prob < 0.0 || out.prob > 1.0) return false;
+  // Negated so NaN, which fails every comparison, is rejected too.
+  if (stop == num || !(out.prob >= 0.0 && out.prob <= 1.0)) return false;
   if (stop < end && *stop == '/') {
     const char* delay_s = stop + 1;
     out.delay_ns = std::strtoull(delay_s, &stop, 10);

@@ -1,7 +1,8 @@
-// Shared STM metadata: the global version clock and the ownership-record
-// (orec) table of the ml_wt algorithm (multiple locks, write-through) —
-// the GCC libitm default the paper's STM numbers use, itself "a
-// privatization-safe version of TinySTM".
+// Shared speculative metadata: the global version clock and the
+// ownership-record (orec) table of the STM, ml_wt (multiple locks,
+// write-through) — the GCC libitm default the paper's STM numbers use,
+// itself "a privatization-safe version of TinySTM" — and the striped commit
+// sequence of the simulated HTM (second half of this file).
 //
 // Orec encoding (64-bit word):
 //   bit 0        lock bit
@@ -71,57 +72,9 @@ constexpr std::uint64_t orec_abort_release(std::uint64_t prev) noexcept {
 /// The global commit timestamp clock.
 std::atomic<std::uint64_t>& gclock() noexcept;
 
-/// The gl_wt global versioned lock (even = version, odd = writer active).
-std::atomic<std::uint64_t>& gl_lock() noexcept;
-
 /// The orec protecting `addr`. Consecutive words map to distinct orecs so
 /// adjacent fields of a node do not gratuitously conflict.
 std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept;
-
-// ---------------------------------------------------------------------------
-// TicToc orec encoding (the third commit protocol, src/tm/protocol/)
-//
-// One word per orec, {write_ts, read_ts} packed as wts + a saturating delta
-// (rts = wts + delta — rts >= wts by construction, the TicToc invariant):
-//   bit 0        lock bit (held only inside a commit's lock→publish window)
-//   bits 23..1   delta = rts - wts (23 bits, saturated by tt_make)
-//   bits 63..24  wts (40 bits — timestamps grow by <=1 per commit process-wide,
-//                so wrap is unreachable in practice)
-//
-// TicToc uses its OWN table (tictoc_orec_for): its timestamps are allocated
-// per-footprint at commit and are NOT coherent with ml_wt's global clock, so
-// sharing g_orecs across an stm_algo switch between phases would leave words
-// a later ml_wt phase misreads as from-the-future snapshots.
-// ---------------------------------------------------------------------------
-
-inline constexpr std::uint64_t kTtLockBit = 1;
-inline constexpr unsigned kTtDeltaBits = 23;
-inline constexpr std::uint64_t kTtDeltaMax =
-    (std::uint64_t{1} << kTtDeltaBits) - 1;
-
-constexpr bool tt_locked(std::uint64_t v) noexcept { return v & kTtLockBit; }
-
-constexpr std::uint64_t tt_wts(std::uint64_t v) noexcept {
-  return v >> (kTtDeltaBits + 1);
-}
-
-constexpr std::uint64_t tt_rts(std::uint64_t v) noexcept {
-  return tt_wts(v) + ((v >> 1) & kTtDeltaMax);
-}
-
-/// Unlocked word for version `wts` certified readable through `rts`. A delta
-/// overflow (> 8M timestamps of extension) renews the version at `rts`
-/// instead — readers of the old wts then fail the cheap wts compare and fall
-/// back to value revalidation, a safe spurious cost.
-constexpr std::uint64_t tt_make(std::uint64_t wts, std::uint64_t rts) noexcept {
-  return rts - wts > kTtDeltaMax
-             ? rts << (kTtDeltaBits + 1)
-             : (wts << (kTtDeltaBits + 1)) | ((rts - wts) << 1);
-}
-
-/// The TicToc orec for `addr` (same word-granular Fibonacci mix as orec_for,
-/// separate table).
-std::atomic<std::uint64_t>& tictoc_orec_for(const void* addr) noexcept;
 
 // ---------------------------------------------------------------------------
 // Simulated-HTM striped commit sequence

@@ -168,7 +168,6 @@ std::string obs_json() {
   std::string out;
   out += "{\"schema\":\"tle-obs/v1\",";
   append_fmt(out, "\"mode\":\"%s\",", to_string(config().mode));
-  append_fmt(out, "\"stm_algo\":\"%s\",", to_string(config().stm_algo));
 
   out += "\"stats\":{";
   bool first = true;

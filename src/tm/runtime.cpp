@@ -28,19 +28,9 @@ struct alignas(kCacheLine) HtmSeqStripe {
 };
 HtmSeqStripe g_htm_stripes[kHtmStripeMax];
 
-struct alignas(kCacheLine) GlLock {
-  std::atomic<std::uint64_t> value{0};
-};
-GlLock g_gl_lock;
-
 // The orec table. Static storage: 64K * 8 B = 512 KB, matching the order of
 // libitm's table.
 std::atomic<std::uint64_t> g_orecs[kOrecCount];
-
-// TicToc's own orec table (see the design note in meta.hpp: its per-footprint
-// timestamps are not coherent with ml_wt's global clock, so the tables must
-// not be shared across an stm_algo switch between phases).
-std::atomic<std::uint64_t> g_tictoc_orecs[kOrecCount];
 
 SerialLock g_serial_lock;
 
@@ -69,8 +59,6 @@ void set_exec_mode(ExecMode mode) noexcept {
 
 std::atomic<std::uint64_t>& gclock() noexcept { return g_clock.value; }
 
-std::atomic<std::uint64_t>& gl_lock() noexcept { return g_gl_lock.value; }
-
 std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
   // Word-granular mapping with a Fibonacci mix so neighbouring fields hit
   // different orecs.
@@ -78,13 +66,6 @@ std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
   const std::size_t idx =
       (word * 0x9E3779B97F4A7C15ULL) >> (64 - kOrecBits);
   return g_orecs[idx];
-}
-
-std::atomic<std::uint64_t>& tictoc_orec_for(const void* addr) noexcept {
-  const std::uintptr_t word = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-  const std::size_t idx =
-      (word * 0x9E3779B97F4A7C15ULL) >> (64 - kOrecBits);
-  return g_tictoc_orecs[idx];
 }
 
 unsigned htm_stripe_index(const void* addr) noexcept {
@@ -115,15 +96,6 @@ const char* to_string(ExecMode m) noexcept {
     case ExecMode::StmCondVar: return "STM+CondVar";
     case ExecMode::StmCondVarNoQ: return "STM+CondVar+NoQuiesce";
     case ExecMode::Htm: return "HTM+CondVar";
-  }
-  return "?";
-}
-
-const char* to_string(StmAlgo a) noexcept {
-  switch (a) {
-    case StmAlgo::MlWt: return "ml_wt";
-    case StmAlgo::GlWt: return "gl_wt";
-    case StmAlgo::TicToc: return "tictoc";
   }
   return "?";
 }
@@ -205,7 +177,6 @@ std::string StatsSnapshot::report() const {
       "  spurious (sim)      %12llu\n"
       "  stripe-busy         %12llu\n"
       "stripe bumps/f-revals %12llu / %llu\n"
-      "tictoc ext ok/fail    %12llu / %llu (lock waits %llu, timeouts %llu)\n"
       "quiesce calls/waits   %12llu / %llu (spins %llu, blocked %.3f ms)\n"
       "grace scans/shared    %12llu / %llu (parked waits %llu)\n"
       "limbo enq/drained     %12llu / %llu (forced flushes %llu)\n"
@@ -234,10 +205,6 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)aborts[static_cast<int>(AbortCause::StripeBusy)],
       (unsigned long long)stripe_bumps,
       (unsigned long long)stripe_false_revalidations,
-      (unsigned long long)tictoc_extensions,
-      (unsigned long long)tictoc_extension_fails,
-      (unsigned long long)tictoc_wts_waits,
-      (unsigned long long)tictoc_lock_timeouts,
       (unsigned long long)quiesce_calls, (unsigned long long)quiesce_waits,
       (unsigned long long)quiesce_spins, quiesce_wait_ns / 1e6,
       (unsigned long long)grace_scans, (unsigned long long)grace_shared,

@@ -62,12 +62,12 @@ namespace tle {
   G(noquiesce_honored, "commits that skipped quiescence")                     \
   G(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")            \
   G(noquiesce_ignored_free, "skips denied: txn freed memory")                 \
-  S(htm_routed_frees, htm_routed_frees, 16,                                   \
+  S(htm_routed_frees, htm_routed_frees, 12,                                   \
     "always 0: serial exits drain HTM readers (kept for perfbench)")          \
   G(priv_immediate_frees, "tm_private_free released immediately")             \
-  S(priv_limbo_routed, priv_limbo_routed, 17,                                 \
+  S(priv_limbo_routed, priv_limbo_routed, 13,                                 \
     "tm_private_free routed through limbo")                                   \
-  S(audit_hazard_arms, audit_hazard_arms, 18,                                 \
+  S(audit_hazard_arms, audit_hazard_arms, 14,                                 \
     "privatization hazards armed by unquiesced commits")                      \
   G(tm_allocs, "transactional allocations")                                   \
   G(tm_frees, "transactional frees")                                          \
@@ -82,14 +82,6 @@ namespace tle {
     "commit-sequence stripes acquired by HTM commits")                        \
   S(stripe_false_revalidations, stripe_false_revalidations, 11,               \
     "stripe revalidations with no value change")                              \
-  S(tictoc_extensions, tictoc_extensions, 12,                                 \
-    "tictoc read-entry rts extensions (CAS bumps)")                           \
-  S(tictoc_extension_fails, tictoc_extension_fails, 13,                       \
-    "tictoc extensions failed: value changed")                                \
-  S(tictoc_wts_waits, tictoc_wts_waits, 14,                                   \
-    "tictoc bounded waits on a locked orec")                                  \
-  S(tictoc_lock_timeouts, tictoc_lock_timeouts, 15,                           \
-    "tictoc bounded lock waits that expired")                                 \
   G(faults_injected, "aborts fired by the fault-injection plan")              \
   G(fault_delays, "schedule perturbations executed by the plan")              \
   G(fault_forced_serial, "serial-mode entries forced by the plan")            \

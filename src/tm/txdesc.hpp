@@ -23,7 +23,7 @@ namespace tle {
 /// How TxContext accessors touch memory for the current section.
 enum class AccessMode : std::uint8_t {
   Direct,  ///< under the real lock or the serial token: plain accesses
-  Stm,     ///< STM instrumented accesses (protocol chosen by TxDesc::algo)
+  Stm,     ///< ml_wt STM accesses (orec locks, write-through, undo log)
   Htm,     ///< simulated-HTM accesses (value log + write buffer)
 };
 
@@ -190,24 +190,6 @@ struct UndoEntry {
   std::uint64_t old;
 };
 
-/// TicToc read-set entry: (addr, value, timestamps) — the value makes
-/// extension validation ABA-tolerant (a re-write of the same value passes),
-/// `seen` carries the {wts, rts} word the read was consistent at.
-struct TicTocRead {
-  std::atomic<std::uint64_t>* orec;
-  const std::atomic<std::uint64_t>* addr;
-  std::uint64_t seen;  ///< unlocked tictoc orec word observed at read time
-  std::uint64_t val;   ///< value observed (revalidated on extension)
-};
-
-/// TicToc write-buffer entry (write-back: memory is untouched until the
-/// commit's lock→validate→publish window).
-struct TicTocWrite {
-  std::atomic<std::uint64_t>* addr;
-  std::atomic<std::uint64_t>* orec;  ///< resolved at write time, once
-  std::uint64_t val;
-};
-
 struct HtmRead {
   const std::atomic<std::uint64_t>* addr;
   std::uint64_t val;
@@ -280,11 +262,6 @@ struct TxDesc {
   bool in_lock_section = false;  ///< Lock-mode critical section (no TM)
   std::uint32_t domain = 0;      ///< quiescence domain (ablation A3)
   std::uint16_t site = 0;   ///< obs::TxSite of the current top-level section
-  /// Algorithm of the current attempt (StmProtocol seam dispatch tag, read
-  /// on every STM access). Lives in the padding hole after `site` so it
-  /// shares the hot section-state cache line without shifting any of the
-  /// PR-4-placed fields below.
-  StmAlgo algo = StmAlgo::MlWt;
   /// Attempt start stamp (obs enabled only). When kMetricsBit is set the
   /// begin/serial-enter paths also mirror it into slot->txn_begin_ns so the
   /// metrics sampler can compute the oldest-in-flight-transaction gauge
@@ -300,30 +277,13 @@ struct TxDesc {
                              ///< budget (drain waits are free — governor)
   /// Unused; keeps the fields below at the cache-line offsets they were
   /// measured at.
-  std::uint32_t layout_pad = 0;
-  bool gl_writer = false; ///< gl_wt: this txn holds the global write lock
+  std::uint8_t layout_pad[5] = {};
   bool read_only = true;
   std::vector<ReadEntry> reads;
   std::vector<OwnedOrec> owned;
   std::vector<UndoEntry> undo;
   AddrIndex read_idx;   ///< orec -> reads[] position (repeat-read filter)
   AddrIndex owned_idx;  ///< orec -> owned[] position (O(1) validation)
-
-  // --- TicToc (timestamped OCC, write-back) ------------------------------
-  // The commit-time lock set reuses `owned`/`owned_idx` above: an entry is
-  // pushed as each write orec is CAS-locked, so rollback from any abort
-  // inside the commit window restores exactly the words taken so far.
-  /// Coverage timestamp: every tt_reads entry is certified valid at tt_rv
-  /// (in-flight extension maintains this, which is what keeps speculative
-  /// snapshots opaque — zombies never see a mixed-epoch view).
-  std::uint64_t tt_rv = 0;
-  std::vector<TicTocRead> tt_reads;
-  std::vector<TicTocWrite> tt_writes;
-  AddrIndex tt_read_idx;   ///< orec -> tt_reads[] position (repeat filter)
-  AddrIndex tt_write_idx;  ///< cell -> tt_writes[] position (read-own-write)
-  /// Commit scratch: distinct write-set orecs, address-ordered for the
-  /// deadlock-free lock phase. Member (not stack) to keep its capacity.
-  std::vector<std::atomic<std::uint64_t>*> tt_lock_order;
 
   // --- simulated HTM -------------------------------------------------------
   std::vector<HtmRead> hreads;
@@ -429,17 +389,11 @@ struct TxDesc {
     undo.clear();
     hreads.clear();
     hwrites.clear();
-    tt_reads.clear();
-    tt_writes.clear();
-    tt_lock_order.clear();
     read_idx.new_txn();
     owned_idx.new_txn();
     hread_idx.new_txn();
     hwrite_idx.new_txn();
-    tt_read_idx.new_txn();
-    tt_write_idx.new_txn();
     stripes_new_txn();
-    tt_rv = 0;
     allocs.clear();
     frees.clear();
     deferred.clear();

@@ -1,7 +1,6 @@
 // Cross-module integration: both applications running back-to-back in one
-// process under every mode, algorithm switches between runs (including the
-// gl_wt method group on a real application), and encoder→decoder→codec
-// interplay.
+// process under every mode, mode switches between runs, and
+// encoder→decoder→codec interplay.
 #include <gtest/gtest.h>
 
 #include "pipez/pipeline.hpp"
@@ -56,28 +55,6 @@ TEST(AppsIntegration, BothAppsRunConsecutivelyInEveryMode) {
   }
 }
 
-TEST(AppsIntegration, GlWtRunsBothApplications) {
-  // The gl_wt method group driving real applications, not just counters.
-  ModeGuard g(ExecMode::StmCondVar);
-  config().stm_algo = StmAlgo::GlWt;
-
-  const auto corpus = pipez::make_corpus(100000, 5);
-  pipez::Config pcfg;
-  pcfg.worker_threads = 2;
-  pcfg.block_size = 30000;
-  const auto back = pipez::decompress(pipez::compress(corpus, pcfg), pcfg);
-  ASSERT_TRUE(back.ok) << back.error;
-  EXPECT_EQ(back.data, corpus);
-
-  const auto enc = videnc::encode(small_video());
-  EXPECT_GT(enc.stats.bits, 0u);
-
-  // gl_wt output must equal ml_wt output (algorithms are interchangeable).
-  config().stm_algo = StmAlgo::MlWt;
-  const auto enc2 = videnc::encode(small_video());
-  EXPECT_EQ(enc.bitstream, enc2.bitstream);
-}
-
 TEST(AppsIntegration, EncodeCompressDecodePipeline) {
   // Feed the video bitstream through the pipez compressor and back, then
   // decode it — two substrates composed end-to-end.
@@ -103,8 +80,8 @@ TEST(AppsIntegration, EncodeCompressDecodePipeline) {
 
 TEST(AppsIntegration, RepeatedModeSwitchesLeaveNoResidue) {
   // Rapid mode flips between small workloads: stale descriptor state or
-  // metadata (orecs, gl lock, htm sequence) would surface as aborts or
-  // wrong results.
+  // metadata (orecs, htm sequence) would surface as aborts or wrong
+  // results.
   const auto corpus = pipez::make_corpus(30000, 17);
   pipez::Config pcfg;
   pcfg.worker_threads = 2;
@@ -112,7 +89,6 @@ TEST(AppsIntegration, RepeatedModeSwitchesLeaveNoResidue) {
   for (int round = 0; round < 3; ++round) {
     for (ExecMode m : kAllModes) {
       ModeGuard g(m);
-      config().stm_algo = (round % 2) ? StmAlgo::GlWt : StmAlgo::MlWt;
       const auto back = pipez::decompress(pipez::compress(corpus, pcfg), pcfg);
       ASSERT_TRUE(back.ok) << "round " << round << " " << to_string(m);
       ASSERT_EQ(back.data, corpus);

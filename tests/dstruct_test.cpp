@@ -167,36 +167,6 @@ TEST_P(DsModes, SkipListInvariantsHoldAfterConcurrentOps) {
   EXPECT_TRUE(s.valid_unsafe());
 }
 
-// gl_wt method group driving every structure (the engines must be
-// interchangeable under the same data-structure code).
-TEST(GlWtStructures, AllFourSetsMatchReference) {
-  ModeGuard g(ExecMode::StmCondVar);
-  config().stm_algo = StmAlgo::GlWt;
-  reference_check<TmListSet>(ExecMode::StmCondVar, 1500, 64, 101);
-  config().stm_algo = StmAlgo::GlWt;
-  reference_check<TmHashSet>(ExecMode::StmCondVar, 1500, 256, 102);
-  config().stm_algo = StmAlgo::GlWt;
-  reference_check<TmRbTreeSet>(ExecMode::StmCondVar, 1500, 256, 103);
-  config().stm_algo = StmAlgo::GlWt;
-  reference_check<TmSkipListSet>(ExecMode::StmCondVar, 1500, 256, 104);
-}
-
-TEST(GlWtStructures, ConcurrentRbTreeStress) {
-  ModeGuard g(ExecMode::StmCondVar);
-  config().stm_algo = StmAlgo::GlWt;
-  TmRbTreeSet s;
-  run_threads(4, [&](int t) {
-    Xoshiro256 rng(90 + static_cast<unsigned>(t));
-    for (int i = 0; i < 600; ++i) {
-      const long key = static_cast<long>(rng.below(256));
-      if (rng.chance(0.5))
-        s.insert(key);
-      else
-        s.remove(key);
-    }
-  });
-  EXPECT_TRUE(s.valid_unsafe());
-}
 
 TEST(SkipList, DeterministicShape) {
   ModeGuard g(ExecMode::Lock);

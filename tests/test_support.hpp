@@ -1,6 +1,7 @@
 // Shared helpers for the test suites.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -34,6 +35,12 @@ inline void run_threads(int n, const std::function<void(int)>& fn) {
   ts.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) ts.emplace_back(fn, i);
   for (auto& t : ts) t.join();
+}
+
+/// Spin until a plain flag flips (safe inside transactions: plain atomic
+/// reads of non-tm state do not touch TM metadata).
+inline void await_flag(const std::atomic<bool>& f) {
+  while (!f.load(std::memory_order_acquire)) std::this_thread::yield();
 }
 
 /// Every execution mode the paper evaluates.

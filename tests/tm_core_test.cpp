@@ -1,20 +1,24 @@
 // Unit tests for the TM runtime core: metadata encodings, single-thread
 // transactional semantics, rollback, allocation logs, deferred actions,
-// NoQuiesce accounting, serial fallback, and multi-threaded atomicity in
-// every execution mode.
+// NoQuiesce accounting, serial fallback, multi-threaded atomicity in every
+// execution mode, and ml_wt's encounter-time write locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "test_support.hpp"
+#include "tm/fault/fault.hpp"
 #include "tm/meta.hpp"
 #include "tm/serial_lock.hpp"
 
 namespace tle {
 namespace {
 
+using testing::await_flag;
 using testing::kAllModes;
 using testing::kElisionModes;
 using testing::ModeGuard;
@@ -415,6 +419,7 @@ TEST(HtmCapacity, SmallTransactionsStaySpeculative) {
 
 TEST_P(AllModes, ConcurrentCounterIsExact) {
   ModeGuard g(GetParam());
+  reset_stats();
   tm_var<long> counter(0);
   constexpr int kThreads = 4;
   constexpr int kIncrements = 2000;
@@ -423,6 +428,16 @@ TEST_P(AllModes, ConcurrentCounterIsExact) {
       atomic_do([&](TxContext& tx) { tx.write(counter, tx.read(counter) + 1); });
   });
   EXPECT_EQ(counter.unsafe_get(), long{kThreads} * kIncrements);
+  if (!config().is_stm()) return;
+  const auto s = aggregate_stats();
+  EXPECT_EQ(s.commits + s.serial_commits, 1u * kThreads * kIncrements);
+  // Honest causes only: ml_wt aborts this workload with Conflict,
+  // Validation or SerialPending, never with an HTM-only cause. An armed
+  // fault plan injects those causes on purpose.
+  if (fault::active()) return;
+  EXPECT_EQ(s.aborts[static_cast<int>(AbortCause::Capacity)], 0u);
+  EXPECT_EQ(s.aborts[static_cast<int>(AbortCause::Spurious)], 0u);
+  EXPECT_EQ(s.aborts[static_cast<int>(AbortCause::StripeBusy)], 0u);
 }
 
 TEST_P(AllModes, BankTransferPreservesTotal) {
@@ -475,6 +490,91 @@ TEST_P(AllModes, ReadersNeverSeeTornInvariant) {
   });
   writer.join();
   EXPECT_EQ(violations.load(), 0);
+
+  // A long reader: one transaction sums a 512-cell block while two writers
+  // increment random cells in it. Under STM each writer commit moves the
+  // clock past the reader's snapshot, so the scan carries its large read
+  // set through timestamp extension. Cells only grow: a committed sum that
+  // went backwards read a torn snapshot.
+  constexpr std::size_t kBlock = 512;
+  constexpr int kAdds = 2000;
+  std::vector<tm_var<long>> block(kBlock);
+  std::atomic<int> writers_left{2};
+  std::atomic<long> went_back{0};
+  run_threads(3, [&](int t) {
+    if (t == 0) {
+      long floor = 0;
+      while (writers_left.load() > 0) {
+        long sum = 0;
+        atomic_do([&](TxContext& tx) {
+          sum = 0;
+          for (auto& c : block) sum += tx.read(c);
+        });
+        if (sum < floor) went_back.fetch_add(1);
+        floor = sum;
+      }
+      return;
+    }
+    Xoshiro256 rng(2000 + static_cast<unsigned>(t));
+    for (int i = 0; i < kAdds; ++i) {
+      tm_var<long>& c = block[rng.below(kBlock)];
+      atomic_do([&](TxContext& tx) { tx.write(c, tx.read(c) + 1); });
+    }
+    writers_left.fetch_sub(1);
+  });
+  EXPECT_EQ(went_back.load(), 0);
+  long total = 0;
+  for (auto& c : block) total += c.unsafe_get();
+  EXPECT_EQ(total, 2L * kAdds);
+}
+
+// ---------------------------------------------------------------------------
+// ml_wt encounter-time write locks
+// ---------------------------------------------------------------------------
+
+// A writer holds an uncommitted write to `b` while a reader reads it. ml_wt
+// locked b's orec at encounter time, so the read is a Conflict abort, and
+// the reader can only commit after the writer, seeing the written value.
+TEST(MlWtEncounterLock, ReaderOfInFlightWriteConflictAborts) {
+  ModeGuard g(ExecMode::StmCondVar);
+  config().quiesce = QuiescePolicy::Never;  // writer parks mid-transaction
+  reset_stats();
+  tm_var<long> a{1}, b{10};
+  std::atomic<bool> writer_in_flight{false}, release_writer{false};
+  std::atomic<bool> reader_done{false};
+
+  std::thread writer([&] {
+    atomic_do([&](TxContext& tx) {
+      tx.write(b, 20L);
+      writer_in_flight.store(true);
+      await_flag(release_writer);
+    });
+  });
+  long got_a = 0, got_b = 0;
+  std::thread reader([&] {
+    await_flag(writer_in_flight);
+    atomic_do([&](TxContext& tx) {
+      got_a = tx.read(a);
+      got_b = tx.read(b);
+    });
+    reader_done.store(true);
+  });
+
+  // Release the writer once the reader has conflict-aborted on the
+  // encounter lock (or, if the lock failed, finished without aborting).
+  await_flag(writer_in_flight);
+  while (!reader_done.load(std::memory_order_acquire) &&
+         aggregate_stats().aborts[static_cast<int>(AbortCause::Conflict)] < 1)
+    std::this_thread::yield();
+  release_writer.store(true);
+  writer.join();
+  reader.join();
+
+  EXPECT_EQ(got_a, 1);
+  EXPECT_EQ(got_b, 20);
+  EXPECT_GE(aggregate_stats().aborts[static_cast<int>(AbortCause::Conflict)],
+            1u);
+  EXPECT_EQ(b.unsafe_get(), 20);
 }
 
 // ---------------------------------------------------------------------------

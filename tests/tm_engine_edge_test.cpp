@@ -17,13 +17,8 @@
 namespace tle {
 namespace {
 
+using testing::await_flag;
 using testing::ModeGuard;
-
-// Helper: spin until a plain flag flips (safe inside transactions: plain
-// atomic reads of non-tm state do not touch TM metadata).
-void await_flag(const std::atomic<bool>& f) {
-  while (!f.load(std::memory_order_acquire)) std::this_thread::yield();
-}
 
 // ---------------------------------------------------------------------------
 // ml_wt timestamp extension

@@ -1,5 +1,4 @@
 // Tests for the runtime extensions beyond the paper's baseline:
-//   * the gl_wt STM algorithm (GCC's global-lock method group),
 //   * per-transaction retry attributes (the paper's §VII-A suggestion),
 //   * the §IV-C privatization-race auditor.
 #include <gtest/gtest.h>
@@ -16,102 +15,6 @@ namespace {
 
 using testing::ModeGuard;
 using testing::run_threads;
-
-// ---------------------------------------------------------------------------
-// gl_wt
-// ---------------------------------------------------------------------------
-
-class GlwtGuard : public ModeGuard {
- public:
-  explicit GlwtGuard(ExecMode m) : ModeGuard(m) {
-    config().stm_algo = StmAlgo::GlWt;
-  }
-};
-
-TEST(GlWt, ReadWriteRoundTrip) {
-  GlwtGuard g(ExecMode::StmCondVar);
-  tm_var<int> v(1);
-  atomic_do([&](TxContext& tx) {
-    EXPECT_EQ(tx.read(v), 1);
-    tx.write(v, 2);
-    EXPECT_EQ(tx.read(v), 2);
-  });
-  EXPECT_EQ(v.unsafe_get(), 2);
-}
-
-TEST(GlWt, ConcurrentCounterIsExact) {
-  GlwtGuard g(ExecMode::StmCondVar);
-  tm_var<long> counter(0);
-  run_threads(4, [&](int) {
-    for (int i = 0; i < 2000; ++i)
-      atomic_do([&](TxContext& tx) { tx.write(counter, tx.read(counter) + 1); });
-  });
-  EXPECT_EQ(counter.unsafe_get(), 8000);
-}
-
-TEST(GlWt, BankInvariantHolds) {
-  GlwtGuard g(ExecMode::StmCondVarNoQ);
-  constexpr int kAccounts = 8;
-  static tm_var<long> accounts[kAccounts];
-  for (auto& a : accounts) a.unsafe_set(100);
-  run_threads(3, [&](int t) {
-    Xoshiro256 rng(5 + static_cast<unsigned>(t));
-    for (int i = 0; i < 2000; ++i) {
-      const int from = static_cast<int>(rng.below(kAccounts));
-      const int to = static_cast<int>(rng.below(kAccounts));
-      atomic_do([&](TxContext& tx) {
-        tx.write(accounts[from], tx.read(accounts[from]) - 1);
-        tx.write(accounts[to], tx.read(accounts[to]) + 1);
-      });
-    }
-  });
-  long total = 0;
-  for (auto& a : accounts) total += a.unsafe_get();
-  EXPECT_EQ(total, 800);
-}
-
-TEST(GlWt, ReadersNeverSeeTornPair) {
-  GlwtGuard g(ExecMode::StmCondVar);
-  tm_var<long> x(0), y(0);
-  std::atomic<bool> stop{false};
-  std::atomic<long> bad{0};
-  std::thread writer([&] {
-    for (long i = 1; i <= 3000; ++i)
-      atomic_do([&](TxContext& tx) {
-        tx.write(x, i);
-        tx.write(y, i);
-      });
-    stop.store(true);
-  });
-  run_threads(2, [&](int) {
-    while (!stop.load()) {
-      long a = 0, b = 0;
-      atomic_do([&](TxContext& tx) {
-        a = tx.read(x);
-        b = tx.read(y);
-      });
-      if (a != b) bad.fetch_add(1);
-    }
-  });
-  writer.join();
-  EXPECT_EQ(bad.load(), 0);
-}
-
-TEST(GlWt, RollbackRestoresValues) {
-  GlwtGuard g(ExecMode::StmCondVar);
-  tm_var<int> v(5);
-  EXPECT_THROW(atomic_do([&](TxContext& tx) {
-                 tx.write(v, 99);
-                 throw std::runtime_error("cancel");
-               }),
-               std::runtime_error);
-  EXPECT_EQ(v.unsafe_get(), 5);
-}
-
-TEST(GlWt, AlgoNameStrings) {
-  EXPECT_STREQ(to_string(StmAlgo::MlWt), "ml_wt");
-  EXPECT_STREQ(to_string(StmAlgo::GlWt), "gl_wt");
-}
 
 // ---------------------------------------------------------------------------
 // Per-transaction retry attributes

@@ -14,15 +14,13 @@
 // window where a zombie reader issues one more load of the detached block.
 // The PrivatizationZombie tests below pin that window open deterministically
 // and prove the mode-aware routing (tm_private_delete + htm_readers_possible)
-// keeps the storage alive through it. The stress suites run across the full
-// exec-mode × commit-protocol matrix so the routing decision is protocol-
-// independent by construction.
+// keeps the storage alive through it. The stress suites run in every
+// speculative mode that quiesces or routes frees differently.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "sync/bounded_queue.hpp"
@@ -45,32 +43,21 @@ struct Box {
   tm_var<long> b{0};
 };
 
-// Exec-mode × commit-protocol matrix: the reclamation-routing decision must
-// be identical whichever protocol instance (ml_wt / gl_wt / tictoc) sits
-// behind the seam, and in HTM mode must not depend on the (unused) STM
-// algorithm at all.
-using PrivParam = std::tuple<ExecMode, StmAlgo>;
-
-class PrivatizationStress : public ::testing::TestWithParam<PrivParam> {};
+class PrivatizationStress : public ::testing::TestWithParam<ExecMode> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Tm, PrivatizationStress,
-    ::testing::Combine(::testing::Values(ExecMode::StmCondVar,
-                                         ExecMode::StmCondVarNoQ,
-                                         ExecMode::Htm),
-                       ::testing::Values(StmAlgo::MlWt, StmAlgo::GlWt,
-                                         StmAlgo::TicToc)),
+    ::testing::Values(ExecMode::StmCondVar, ExecMode::StmCondVarNoQ,
+                      ExecMode::Htm),
     [](const auto& info) {
-      std::string s = std::string(to_string(std::get<0>(info.param))) + "_" +
-                      to_string(std::get<1>(info.param));
+      std::string s = to_string(info.param);
       for (auto& c : s)
         if (!isalnum(static_cast<unsigned char>(c))) c = '_';
       return s;
     });
 
 TEST_P(PrivatizationStress, DetachedBoxNeverRacesWithZombies) {
-  ModeGuard g(std::get<0>(GetParam()));
-  config().stm_algo = std::get<1>(GetParam());
+  ModeGuard g(GetParam());
   tm_var<Box*> current(new Box);
   std::atomic<bool> stop{false};
   std::atomic<long> violations{0};
@@ -126,8 +113,7 @@ TEST_P(PrivatizationStress, TransactionalFreeOfHotNodeIsSafe) {
   // Remove-and-free under contention: the committing remover must quiesce
   // before the node is recycled (the §IV-B allocator rule), even in the
   // NoQuiesce-honoring mode.
-  ModeGuard g(std::get<0>(GetParam()));
-  config().stm_algo = std::get<1>(GetParam());
+  ModeGuard g(GetParam());
   struct Node {
     tm_var<long> value{0};
   };

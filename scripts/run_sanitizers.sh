@@ -12,7 +12,9 @@
 # under racing serial writers), and the striped commit sequence (per-stripe
 # seqlock acquisition/release ordering). The ASan half also runs the codec
 # suites (index arithmetic of the BWT rotation sort, the decoder's bounds on
-# malformed blocks); they are single-threaded, so TSan skips them.
+# malformed blocks), which are single-threaded, so TSan skips them; and the
+# video encoder suites (the block kernels' reads at the edges of frames whose
+# sides are not multiples of the block size).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period.
@@ -41,6 +43,9 @@ suite_extra() {
 SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test tm_stripe_test"
 # Codec suites, built from the codec sources instead of the TM core.
 CODEC_SUITES="bzip_test bzip_fuzz_test"
+# Video encoder suites: the TM core, the condition variable, the codec's bit
+# I/O and the encoder itself.
+VIDENC_SUITES="videnc_test videnc_property_test videnc_decoder_test"
 
 # Seeded fault matrix: rerun the suites most sensitive to the perturbed
 # windows with the env-armed chaos plan, so the sanitizers watch the Dekker
@@ -71,11 +76,16 @@ build_run() {
 
 run_preset() {
   local name=$1 flags=$2
-  # Codec suites first, so a failing suite later on cannot keep them from
-  # running.
+  # Codec and video suites first, so a failing suite later on cannot keep
+  # them from running.
   if [ "$name" = asan ]; then
     for test in $CODEC_SUITES; do
       build_run "$test" "$name" "$flags" src/bzip/*.cpp
+    done
+    for test in $VIDENC_SUITES; do
+      # shellcheck disable=SC2086
+      build_run "$test" "$name" "$flags" $TM_SRCS src/sync/tx_condvar.cpp \
+        src/bzip/*.cpp src/videnc/*.cpp
     done
   fi
   for test in $SUITES; do

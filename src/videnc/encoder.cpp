@@ -233,7 +233,7 @@ class FrameJob {
  private:
   /// Reference rows [0, n) that CTU row r's motion search reads when
   /// centred on vertical hint `hy`: each block reaches kBlock - 1 rows below
-  /// its origin, plus the ±range_ window; at_clamped folds rows past the
+  /// its origin, plus the ±range_ window; the edge clamp folds rows past the
   /// bottom edge onto the last one.
   int ref_rows_read(int r, int hy) const noexcept {
     const int y1 = std::min((r + 1) * kCtu, src_.luma.height());
@@ -335,10 +335,14 @@ class FrameJob {
         const int max_y = std::min(slice_end_row(r) * kCtu,
                                    src_.luma.height());
         tm_pure([&] {
+          // The source block, read once and edge-clamped: the intra SADs,
+          // the motion search and the residual all compare these pixels.
+          std::uint8_t src[kBlockSize];
+          motion_compensate(src_.luma, x0, y0, 0, 0, src);
           for (int m = 0; m < kIntraModes; ++m) {
             intra_predict(recon_->recon, x0, y0, static_cast<IntraMode>(m),
                           pred, min_y, max_y);
-            const std::uint32_t s = block_sad(src_.luma, x0, y0, pred);
+            const std::uint32_t s = block_sad(src, pred);
             if (s < best_sad) {
               best_sad = s;
               best_mode = static_cast<IntraMode>(m);
@@ -347,8 +351,8 @@ class FrameJob {
             }
           }
           if (!src_.intra_only && ref_) {
-            const MotionResult mr = motion_search(src_.luma, ref_->recon, x0,
-                                                  y0, hx, hy, range_);
+            const MotionResult mr =
+                motion_search(src, ref_->recon, x0, y0, hx, hy, range_);
             if (mr.sad < best_sad) {
               best_sad = mr.sad;
               use_inter = true;
@@ -371,11 +375,8 @@ class FrameJob {
           }
           // Residual -> transform -> quantize -> entropy; then reconstruct.
           std::int16_t residual[kBlockSize];
-          for (int y = 0; y < kBlock; ++y)
-            for (int x = 0; x < kBlock; ++x)
-              residual[y * kBlock + x] = static_cast<std::int16_t>(
-                  src_.luma.at_clamped(x0 + x, y0 + y) -
-                  best_pred[y * kBlock + x]);
+          for (int i = 0; i < kBlockSize; ++i)
+            residual[i] = static_cast<std::int16_t>(src[i] - best_pred[i]);
           std::int32_t coeffs[kBlockSize];
           fdct8x8(residual, coeffs);
           const std::int32_t step = quant_step(src_.qp);
@@ -471,7 +472,10 @@ EncodeResult run_encode(std::vector<Frame> frames, const EncoderConfig& cfg) {
   thread_pool pool(cfg.worker_threads);
   std::counting_semaphore<64> frame_slots(
       std::max(1, std::min(cfg.frame_threads, 64)));
-  std::vector<std::shared_ptr<FrameJob>> jobs(n);  // keep recon refs alive
+  // Each frame's job, until the serial writer has taken its output. Pool
+  // tasks hold their own references, and the next frame holds the
+  // reconstruction it predicts from.
+  std::vector<std::shared_ptr<FrameJob>> jobs(n);
   std::shared_ptr<ReconRef> prev_recon;
 
   std::thread submitter([&] {
@@ -512,6 +516,7 @@ EncodeResult run_encode(std::vector<Frame> frames, const EncoderConfig& cfg) {
     result.bitstream.insert(result.bitstream.end(), payload->begin(),
                             payload->end());
     if (cfg.keep_recon) result.recon[i] = jobs[i]->recon_ref()->recon;
+    jobs[i].reset();
   }
 
   source.join();

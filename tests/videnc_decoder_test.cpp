@@ -167,6 +167,37 @@ TEST(VidencDecoder, RejectsTruncation) {
   }
 }
 
+TEST(VidencDecoder, HugeMotionVectorsReadTheFrameEdge) {
+  // A one-block intra frame, then an inter frame whose block points
+  // INT_MAX columns right and INT_MAX rows up: every sample clamps to the
+  // top-right one of the reference.
+  ModeGuard g(ExecMode::Lock);
+  const EncodeResult enc = encode(cfg_for(8, 8, 1));
+  std::vector<std::uint8_t> stream = enc.bitstream;
+  bzip::BitWriter bw;
+  bw.put(1, 1);  // inter
+  // se(INT_MAX) is ue(2^32 - 3), and se(-INT_MAX) is ue(2^32 - 2): 31 zeros,
+  // then the value plus one in 32 bits.
+  bw.put(0, 31);
+  bw.put(0xFFFFFFFEu, 32);
+  bw.put(0, 31);
+  bw.put(0xFFFFFFFFu, 32);
+  std::int32_t zero[kBlockSize] = {};
+  entropy_encode_block(zero, bw);
+  const std::vector<std::uint8_t> row = bw.finish();
+  stream.insert(stream.end(), {1, 28, 0, 1});  // number, qp, inter, slices
+  stream.insert(stream.end(), {static_cast<std::uint8_t>(row.size()), 0, 0});
+  stream.insert(stream.end(), row.begin(), row.end());
+
+  const DecodedVideo dec = decode_video(stream, 8, 8);
+  ASSERT_TRUE(dec.ok) << dec.error;
+  ASSERT_EQ(dec.frames.size(), 2u);
+  for (int y = 0; y < 8; ++y)
+    for (int x = 0; x < 8; ++x)
+      EXPECT_EQ(dec.frames[1].at(x, y), dec.frames[0].at(7, 0))
+          << x << "," << y;
+}
+
 TEST(VidencDecoder, RejectsBadDimensions) {
   EXPECT_FALSE(decode_video({}, 0, 64).ok);
   EXPECT_FALSE(decode_video({}, 96, -1).ok);

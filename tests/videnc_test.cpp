@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 
 #include "test_support.hpp"
 #include "videnc/encoder.hpp"
@@ -165,7 +166,9 @@ TEST(Predict, MotionSearchFindsExactShift) {
   for (int y = 0; y < 64; ++y)
     for (int x = 0; x < 64; ++x)
       src.set(x, y, ref.at_clamped(x + 3, y - 2));
-  const MotionResult mr = motion_search(src, ref, 24, 24, 0, 0, 8);
+  std::uint8_t blk[kBlockSize];
+  motion_compensate(src, 24, 24, 0, 0, blk);
+  const MotionResult mr = motion_search(blk, ref, 24, 24, 0, 0, 8);
   EXPECT_EQ(mr.mvx, 3);
   EXPECT_EQ(mr.mvy, -2);
   EXPECT_EQ(mr.sad, 0u);
@@ -175,11 +178,92 @@ TEST(Predict, SadIsZeroForPerfectPrediction) {
   Plane src(16, 16);
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x) src.set(x, y, 55);
+  std::uint8_t blk[kBlockSize];
+  motion_compensate(src, 0, 0, 0, 0, blk);
   std::uint8_t pred[kBlockSize];
   std::fill(pred, pred + kBlockSize, std::uint8_t{55});
-  EXPECT_EQ(block_sad(src, 0, 0, pred), 0u);
+  EXPECT_EQ(block_sad(blk, pred), 0u);
   pred[0] = 60;
-  EXPECT_EQ(block_sad(src, 0, 0, pred), 5u);
+  EXPECT_EQ(block_sad(blk, pred), 5u);
+}
+
+/// Reference full search: each candidate rebuilt from per-pixel at_clamped
+/// reads, tried in raster order; only a strictly lower SAD wins.
+MotionResult reference_search(const std::uint8_t src[kBlockSize],
+                              const Plane& ref, int x0, int y0, int predx,
+                              int predy, int range) {
+  MotionResult best;
+  for (int dy = -range; dy <= range; ++dy) {
+    for (int dx = -range; dx <= range; ++dx) {
+      const int mvx = predx + dx, mvy = predy + dy;
+      std::uint32_t sad = 0;
+      for (int y = 0; y < kBlock; ++y)
+        for (int x = 0; x < kBlock; ++x) {
+          const int d = static_cast<int>(src[y * kBlock + x]) -
+                        ref.at_clamped(x0 + mvx + x, y0 + mvy + y);
+          sad += static_cast<std::uint32_t>(d < 0 ? -d : d);
+        }
+      if (sad < best.sad) {
+        best.sad = sad;
+        best.mvx = mvx;
+        best.mvy = mvy;
+      }
+    }
+  }
+  return best;
+}
+
+TEST(Predict, MotionSearchMatchesReference) {
+  Xoshiro256 rng(5);
+  // Windows inside the plane, across an edge or corner, and wholly outside.
+  int inside = 0, crossing = 0, outside = 0;
+  for (auto [w, h] : {std::pair{64, 48}, std::pair{33, 17}, std::pair{8, 8},
+                      std::pair{5, 3}}) {
+    // Full-range values, then few distinct values so that candidates tie.
+    for (int levels : {256, 3}) {
+      Plane src(w, h), ref(w, h);
+      for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x) {
+          src.set(x, y, static_cast<std::uint8_t>(rng.below(levels)));
+          ref.set(x, y, static_cast<std::uint8_t>(rng.below(levels)));
+        }
+      const int last_x = (w - 1) / kBlock * kBlock;
+      const int last_y = (h - 1) / kBlock * kBlock;
+      for (int y0 : {0, last_y / 2 / kBlock * kBlock, last_y})
+        for (int x0 : {0, last_x / 2 / kBlock * kBlock, last_x}) {
+          std::uint8_t blk[kBlockSize];
+          motion_compensate(src, x0, y0, 0, 0, blk);
+          for (int i = 0; i < kBlockSize; ++i)
+            ASSERT_EQ(blk[i], src.at_clamped(x0 + i % kBlock,
+                                             y0 + i / kBlock));
+          for (int range : {0, 1, 4, 8})
+            for (int hy : {-30, -5, 0, 5, 30})
+              for (int hx : {-30, -5, 0, 5, 30}) {
+                const int wx = x0 + hx - range, wy = y0 + hy - range;
+                const int side = 2 * range + kBlock;
+                if (wx >= 0 && wy >= 0 && wx + side <= w && wy + side <= h)
+                  ++inside;
+                else if (wx >= w || wy >= h || wx + side <= 0 ||
+                         wy + side <= 0)
+                  ++outside;
+                else
+                  ++crossing;
+                const MotionResult got =
+                    motion_search(blk, ref, x0, y0, hx, hy, range);
+                const MotionResult want =
+                    reference_search(blk, ref, x0, y0, hx, hy, range);
+                ASSERT_EQ(std::make_tuple(got.mvx, got.mvy, got.sad),
+                          std::make_tuple(want.mvx, want.mvy, want.sad))
+                    << w << "x" << h << " levels " << levels << " block ("
+                    << x0 << "," << y0 << ") hint (" << hx << "," << hy
+                    << ") range " << range;
+              }
+        }
+    }
+  }
+  EXPECT_GT(inside, 0);
+  EXPECT_GT(crossing, 0);
+  EXPECT_GT(outside, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@
 # sides are not multiples of the block size).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
-#           nodes, i.e. frees released before a covering grace period.
+#           nodes, i.e. frees released before a covering grace period. A
+#           UBSan report fails the suite.
 #   tsan  — ThreadSanitizer: catches ordering bugs in the epoch/park
 #           protocol and the serial lock's Dekker edges.
 #
@@ -103,11 +104,15 @@ run_preset() {
   done
 }
 
+# UBSan only prints a report and carries on unless told not to recover, so
+# without the second flag a suite with undefined behaviour would still pass.
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1"
+
 case "$PRESET" in
-  asan) run_preset asan "-fsanitize=address,undefined -O1" ;;
+  asan) run_preset asan "$ASAN_FLAGS" ;;
   tsan) run_preset tsan "-fsanitize=thread -O1" ;;
   all)
-    run_preset asan "-fsanitize=address,undefined -O1"
+    run_preset asan "$ASAN_FLAGS"
     run_preset tsan "-fsanitize=thread -O1"
     ;;
   *) echo "unknown preset '$PRESET' (want asan|tsan|all)" >&2; exit 2 ;;

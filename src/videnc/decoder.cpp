@@ -51,8 +51,11 @@ bool decode_block(bzip::BitReader& br, Plane& recon, const Plane* ref,
                   max_y);
   }
 
+  // Reject a level that would dequantize past kMaxCoeff, before dequantize
+  // multiplies it by the step: no encode produces one, and idct8x8's 32-bit
+  // sums hold only up to kMaxCoeff.
   std::int32_t coeffs[kBlockSize];
-  if (!entropy_decode_block(br, coeffs)) return false;
+  if (!entropy_decode_block(br, coeffs, kMaxCoeff / step)) return false;
   dequantize(coeffs, step);
   std::int16_t rec[kBlockSize];
   idct8x8(coeffs, rec);

@@ -6,6 +6,7 @@
 #include "test_support.hpp"
 #include "videnc/decoder.hpp"
 #include "videnc/encoder.hpp"
+#include "videnc/predict.hpp"
 #include "videnc/transform.hpp"
 
 namespace tle::videnc {
@@ -28,12 +29,16 @@ EncoderConfig cfg_for(int w, int h, int frames) {
 }
 
 TEST(ExpGolomb, UnsignedRoundTrip) {
+  // Up to 2^32 - 2, the largest value get_ue reads.
+  const std::uint32_t values[] = {0u,          1u,          2u,
+                                  7u,          8u,          255u,
+                                  65535u,      1000000u,    0x7FFFFFFEu,
+                                  0x7FFFFFFFu, 0xFFFFFFFEu};
   bzip::BitWriter bw;
-  for (std::uint32_t v : {0u, 1u, 2u, 7u, 8u, 255u, 65535u, 1000000u})
-    put_ue(bw, v);
+  for (std::uint32_t v : values) put_ue(bw, v);
   auto buf = bw.finish();
   bzip::BitReader br(buf.data(), buf.size());
-  for (std::uint32_t v : {0u, 1u, 2u, 7u, 8u, 255u, 65535u, 1000000u}) {
+  for (std::uint32_t v : values) {
     std::uint32_t got;
     ASSERT_TRUE(get_ue(br, &got));
     EXPECT_EQ(got, v);
@@ -41,12 +46,14 @@ TEST(ExpGolomb, UnsignedRoundTrip) {
 }
 
 TEST(ExpGolomb, SignedRoundTrip) {
+  const std::int32_t values[] = {0,     1,      -1,      2,       -2,
+                                 100,   -100,   32767,   -32768,  INT32_MAX,
+                                 -INT32_MAX};
   bzip::BitWriter bw;
-  for (std::int32_t v : {0, 1, -1, 2, -2, 100, -100, 32767, -32768})
-    put_se(bw, v);
+  for (std::int32_t v : values) put_se(bw, v);
   auto buf = bw.finish();
   bzip::BitReader br(buf.data(), buf.size());
-  for (std::int32_t v : {0, 1, -1, 2, -2, 100, -100, 32767, -32768}) {
+  for (std::int32_t v : values) {
     std::int32_t got;
     ASSERT_TRUE(get_se(br, &got));
     EXPECT_EQ(got, v);
@@ -176,12 +183,8 @@ TEST(VidencDecoder, HugeMotionVectorsReadTheFrameEdge) {
   std::vector<std::uint8_t> stream = enc.bitstream;
   bzip::BitWriter bw;
   bw.put(1, 1);  // inter
-  // se(INT_MAX) is ue(2^32 - 3), and se(-INT_MAX) is ue(2^32 - 2): 31 zeros,
-  // then the value plus one in 32 bits.
-  bw.put(0, 31);
-  bw.put(0xFFFFFFFEu, 32);
-  bw.put(0, 31);
-  bw.put(0xFFFFFFFFu, 32);
+  put_se(bw, INT32_MAX);
+  put_se(bw, -INT32_MAX);
   std::int32_t zero[kBlockSize] = {};
   entropy_encode_block(zero, bw);
   const std::vector<std::uint8_t> row = bw.finish();
@@ -196,6 +199,37 @@ TEST(VidencDecoder, HugeMotionVectorsReadTheFrameEdge) {
     for (int x = 0; x < 8; ++x)
       EXPECT_EQ(dec.frames[1].at(x, y), dec.frames[0].at(7, 0))
           << x << "," << y;
+}
+
+TEST(VidencDecoder, RejectsOutOfRangeCoefficientLevels) {
+  // One 8x8 intra frame at qp 28 (step 64) whose only coefficient is the DC
+  // level 1 + mag. Levels are bounded so that the dequantized coefficient
+  // stays within kMaxCoeff, which also keeps the int32 level from wrapping.
+  auto decode_dc = [](std::uint32_t mag) {
+    bzip::BitWriter bw;
+    bw.put(0, 1);  // intra
+    bw.put(static_cast<std::uint64_t>(IntraMode::Dc), 2);
+    put_ue(bw, 0);    // run
+    put_ue(bw, mag);  // level - 1
+    bw.put(0, 1);     // positive
+    put_ue(bw, kBlockSize);
+    const std::vector<std::uint8_t> row = bw.finish();
+    // Frame number, qp, intra flag, slices.
+    std::vector<std::uint8_t> stream = {0, 28, 1, 1};
+    stream.insert(stream.end(),
+                  {static_cast<std::uint8_t>(row.size()), 0, 0});
+    stream.insert(stream.end(), row.begin(), row.end());
+    return decode_video(stream, 8, 8);
+  };
+  const std::int32_t step = quant_step(28);
+  ASSERT_EQ(step, 64);
+  const std::uint32_t largest = kMaxCoeff / step;  // level 511: 32,704
+  const DecodedVideo ok = decode_dc(largest - 1);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  ASSERT_EQ(ok.frames.size(), 1u);
+  EXPECT_EQ(ok.frames[0].at(0, 0), 255) << "a DC of 32,704 saturates";
+  for (std::uint32_t mag : {largest, (1u << 26) - 1, 0x7FFFFFFFu, 0xFFFFFFFEu})
+    EXPECT_FALSE(decode_dc(mag).ok) << "level " << mag << " + 1";
 }
 
 TEST(VidencDecoder, RejectsBadDimensions) {

@@ -3,8 +3,11 @@
 // across modes and thread counts, and quality sanity.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "test_support.hpp"
 #include "videnc/encoder.hpp"
@@ -95,7 +98,7 @@ TEST(Transform, EntropyRoundTripSparseAndDense) {
     auto buf = bw.finish();
     bzip::BitReader br(buf.data(), buf.size());
     std::int32_t back[kBlockSize];
-    ASSERT_TRUE(entropy_decode_block(br, back)) << trial;
+    ASSERT_TRUE(entropy_decode_block(br, back, kMaxCoeff)) << trial;
     for (int i = 0; i < kBlockSize; ++i)
       ASSERT_EQ(back[i], coeffs[i]) << "trial " << trial << " i " << i;
   }
@@ -113,7 +116,165 @@ TEST(Transform, EntropyDecodeRejectsGarbage) {
   std::vector<std::uint8_t> junk(16, 0xFF);
   bzip::BitReader br(junk.data(), junk.size());
   std::int32_t c[kBlockSize];
-  EXPECT_FALSE(entropy_decode_block(br, c));
+  EXPECT_FALSE(entropy_decode_block(br, c, kMaxCoeff));
+  // A run of 2^32 - 2 must not wrap the position below the block's start.
+  bzip::BitWriter bw;
+  put_ue(bw, 0xFFFFFFFEu);  // run
+  put_ue(bw, 0);            // level 1
+  bw.put(0, 1);             // sign
+  put_ue(bw, kBlockSize);   // end of block
+  const std::vector<std::uint8_t> buf = bw.finish();
+  bzip::BitReader huge_run(buf.data(), buf.size());
+  EXPECT_FALSE(entropy_decode_block(huge_run, c, kMaxCoeff));
+}
+
+/// fdct8x8 and idct8x8 written as the plain 8x8 fixed-point matrix product
+/// with 64-bit sums: the reference the butterflies must match bit for bit.
+struct MatrixDct {
+  static constexpr int kShift = 13;
+  std::int32_t c[kBlock][kBlock];
+
+  MatrixDct() {
+    for (int u = 0; u < kBlock; ++u) {
+      const double a =
+          u == 0 ? std::sqrt(1.0 / kBlock) : std::sqrt(2.0 / kBlock);
+      for (int y = 0; y < kBlock; ++y)
+        c[u][y] = static_cast<std::int32_t>(
+            std::lround(a * std::cos((2 * y + 1) * u * M_PI / (2 * kBlock)) *
+                        (1 << kShift)));
+    }
+  }
+
+  static std::int32_t descale(std::int64_t v) {
+    return static_cast<std::int32_t>((v + (1 << (kShift - 1))) >> kShift);
+  }
+
+  void forward(const std::int16_t in[kBlockSize],
+               std::int32_t out[kBlockSize]) const {
+    std::int32_t tmp[kBlockSize];
+    for (int u = 0; u < kBlock; ++u)
+      for (int x = 0; x < kBlock; ++x) {
+        std::int64_t s = 0;
+        for (int y = 0; y < kBlock; ++y)
+          s += static_cast<std::int64_t>(c[u][y]) * in[y * kBlock + x];
+        tmp[u * kBlock + x] = descale(s);
+      }
+    for (int u = 0; u < kBlock; ++u)
+      for (int v = 0; v < kBlock; ++v) {
+        std::int64_t s = 0;
+        for (int x = 0; x < kBlock; ++x)
+          s += static_cast<std::int64_t>(c[v][x]) * tmp[u * kBlock + x];
+        out[u * kBlock + v] = descale(s);
+      }
+  }
+
+  void inverse(const std::int32_t in[kBlockSize],
+               std::int16_t out[kBlockSize]) const {
+    std::int32_t tmp[kBlockSize];
+    for (int y = 0; y < kBlock; ++y)
+      for (int v = 0; v < kBlock; ++v) {
+        std::int64_t s = 0;
+        for (int u = 0; u < kBlock; ++u)
+          s += static_cast<std::int64_t>(c[u][y]) * in[u * kBlock + v];
+        tmp[y * kBlock + v] = descale(s);
+      }
+    for (int y = 0; y < kBlock; ++y)
+      for (int x = 0; x < kBlock; ++x) {
+        std::int64_t s = 0;
+        for (int v = 0; v < kBlock; ++v)
+          s += static_cast<std::int64_t>(c[v][x]) * tmp[y * kBlock + v];
+        out[y * kBlock + x] =
+            static_cast<std::int16_t>(std::clamp(descale(s), -32768, 32767));
+      }
+  }
+};
+
+TEST(Transform, MatchesReferenceMatrixProduct) {
+  const MatrixDct ref;
+  Xoshiro256 rng(6);
+  using Block = std::array<std::int16_t, kBlockSize>;
+  std::vector<Block> blocks;
+  for (int trial = 0; trial < 4000; ++trial) {  // 9-bit residuals
+    Block b;
+    for (auto& v : b)
+      v = static_cast<std::int16_t>(static_cast<int>(rng.below(511)) - 255);
+    blocks.push_back(b);
+  }
+  for (int v : {-32768, -255, -1, 0, 1, 255, 32767}) {  // constant blocks
+    Block b;
+    b.fill(static_cast<std::int16_t>(v));
+    blocks.push_back(b);
+  }
+  for (int v : {-255, 255}) {  // checkerboards
+    Block b;
+    for (int i = 0; i < kBlockSize; ++i)
+      b[i] = static_cast<std::int16_t>((i / kBlock + i % kBlock) % 2 ? v : -v);
+    blocks.push_back(b);
+  }
+  // For each output (u, v), the int16 blocks that drive every product
+  // c[u][y] * c[v][x] * in[y][x] to its largest, or its smallest, value.
+  for (int u = 0; u < kBlock; ++u)
+    for (int v = 0; v < kBlock; ++v)
+      for (int sign : {1, -1}) {
+        Block b;
+        for (int i = 0; i < kBlockSize; ++i)
+          b[i] = sign * ref.c[u][i / kBlock] * ref.c[v][i % kBlock] >= 0
+                     ? std::int16_t{32767}
+                     : std::int16_t{-32768};
+        blocks.push_back(b);
+      }
+
+  std::size_t inverses = 0;
+  auto check_inverse = [&](const std::int32_t coeffs[kBlockSize]) {
+    std::int16_t got[kBlockSize], want[kBlockSize];
+    idct8x8(coeffs, got);
+    ref.inverse(coeffs, want);
+    ++inverses;
+    for (int i = 0; i < kBlockSize; ++i)
+      ASSERT_EQ(got[i], want[i]) << "idct sample " << i;
+  };
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::int32_t got[kBlockSize], want[kBlockSize];
+    fdct8x8(blocks[b].data(), got);
+    ref.forward(blocks[b].data(), want);
+    for (int i = 0; i < kBlockSize; ++i)
+      ASSERT_EQ(got[i], want[i]) << "block " << b << " fdct coefficient " << i;
+    // The idct of the block's coefficients as an encode would dequantize
+    // them, wherever they stay within its range.
+    for (int qp : {0, 28, 51}) {
+      std::int32_t coeffs[kBlockSize];
+      std::copy(want, want + kBlockSize, coeffs);
+      quantize(coeffs, quant_step(qp));
+      dequantize(coeffs, quant_step(qp));
+      const bool in_range =
+          std::all_of(coeffs, coeffs + kBlockSize,
+                      [](std::int32_t c) { return std::abs(c) <= kMaxCoeff; });
+      if (in_range) {
+        ASSERT_NO_FATAL_FAILURE(check_inverse(coeffs))
+            << "block " << b << " qp " << qp;
+      }
+    }
+  }
+  // Coefficients up to the decoder's bound: random ones, and for each
+  // sample (y, x) the blocks at ±kMaxCoeff that drive it to either extreme.
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::int32_t coeffs[kBlockSize];
+    for (auto& c : coeffs)
+      c = static_cast<std::int32_t>(rng.below(2 * kMaxCoeff + 1)) - kMaxCoeff;
+    ASSERT_NO_FATAL_FAILURE(check_inverse(coeffs)) << "random trial " << trial;
+  }
+  for (int y = 0; y < kBlock; ++y)
+    for (int x = 0; x < kBlock; ++x)
+      for (int sign : {1, -1}) {
+        std::int32_t coeffs[kBlockSize];
+        for (int i = 0; i < kBlockSize; ++i)
+          coeffs[i] = sign * ref.c[i / kBlock][y] * ref.c[i % kBlock][x] >= 0
+                          ? kMaxCoeff
+                          : -kMaxCoeff;
+        ASSERT_NO_FATAL_FAILURE(check_inverse(coeffs))
+            << "extreme for (" << y << "," << x << ")";
+      }
+  EXPECT_GT(inverses, 3 * 4000u) << "every residual block's idct was checked";
 }
 
 // ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ constexpr int kWrVars = 128;   // write_heavy: distinct writes per txn
 constexpr int kRowVars = 128;  // read_own_write: buffered writes per txn
 constexpr int kRowRounds = 4;  // ...then kRowRounds reads of each
 constexpr int kLrsVars = 1024;  // large_read_set: distinct words per thread
-constexpr int kLrsRounds = 64;  // ...read rounds (65536 logged reads pre-dedup)
+constexpr int kLrsRounds = 64;  // ...read rounds (65536 logged reads)
 
 // Pre-PR baselines for the two acceptance cells, measured on the seed engine
 // (commit 5325171) with this same harness at ABL_OVERHEAD_SECS=0.5 on the CI
@@ -193,10 +193,10 @@ CellResult wl_read_own_write(ExecMode mode, double secs) {
 CellResult wl_large_read_set(ExecMode mode, double secs) {
   // Two threads over disjoint halves of one contiguous (orec-disjoint)
   // array. Each transaction re-reads its working set kLrsRounds times and
-  // then rewrites it, so (a) the undeduplicated read set reaches
-  // kLrsVars*kLrsRounds entries, (b) every logged orec is self-owned by
-  // commit time (the O(R x W) validation worst case), and (c) the peer's
-  // commits move the global clock so commit-time validation actually runs.
+  // then rewrites it, so (a) the read set reaches kLrsVars*kLrsRounds
+  // entries, (b) every logged orec is self-owned by commit time (the
+  // O(R x W) validation worst case), and (c) the peer's commits move the
+  // global clock so commit-time validation actually runs.
   // The working set is sized so a transaction outlasts a scheduler
   // timeslice even on a single-core host: the peer then commits inside
   // most transactions, defeating ml_wt's "clock did not move" validation
@@ -253,7 +253,6 @@ void emit_json(const char* path, const std::vector<CellResult>& cells,
     j.kv("serial_pct", 100.0 * c.stats.serial_fraction());
     j.kv("quiesce_waits", c.stats.quiesce_waits);
     j.kv("quiesce_spins", c.stats.quiesce_spins);
-    j.kv("stm_read_dedup", c.stats.stm_read_dedup);
     j.kv("htm_read_dedup", c.stats.htm_read_dedup);
     j.kv("htm_rw_hits", c.stats.htm_rw_hits);
     j.kv("htm_routed_frees", c.stats.htm_routed_frees);
@@ -323,15 +322,14 @@ int main(int argc, char** argv) {
     cells.push_back(wl_large_read_set(mode, secs));
   }
 
-  std::printf("%-16s %-16s %9s %12s %12s %9s %10s %10s %10s\n", "workload",
-              "mode", "threads", "ops/s", "access/s", "abort%", "stm_dedup",
-              "htm_dedup", "rw_hits");
+  std::printf("%-16s %-16s %9s %12s %12s %9s %10s %10s\n", "workload",
+              "mode", "threads", "ops/s", "access/s", "abort%", "htm_dedup",
+              "rw_hits");
   for (const CellResult& c : cells) {
-    std::printf("%-16s %-16s %9d %12.0f %12.0f %9.3f %10llu %10llu %10llu\n",
+    std::printf("%-16s %-16s %9d %12.0f %12.0f %9.3f %10llu %10llu\n",
                 c.workload.c_str(), mode_tag(c.mode), c.threads,
                 c.ops_per_sec(), c.accesses_per_sec(),
                 100.0 * c.stats.abort_rate(),
-                static_cast<unsigned long long>(c.stats.stm_read_dedup),
                 static_cast<unsigned long long>(c.stats.htm_read_dedup),
                 static_cast<unsigned long long>(c.stats.htm_rw_hits));
   }

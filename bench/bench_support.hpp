@@ -67,7 +67,6 @@ inline const char* mode_tag(ExecMode m) {
 //         "accesses_per_sec": <double>,    // tm reads+writes / wall-sec
 //         "abort_pct": <double>, "serial_pct": <double>,
 //         "quiesce_waits": <uint>, "quiesce_spins": <uint>,
-//         "stm_read_dedup": <uint>,        // repeat ml_wt reads filtered
 //         "htm_read_dedup": <uint>,        // repeat HTM reads from value log
 //         "htm_rw_hits": <uint> },         // HTM reads from write buffer
 //       ... ],

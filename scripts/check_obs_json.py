@@ -36,7 +36,7 @@ REQUIRED_COUNTERS = [
     "noquiesce_ignored_free", "htm_routed_frees",
     "priv_immediate_frees", "priv_limbo_routed",
     "tm_allocs", "tm_frees", "deferred_run",
-    "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",
+    "condvar_waits", "condvar_timeouts", "htm_retries",
     "htm_read_dedup", "htm_rw_hits", "stripe_bumps",
     "stripe_false_revalidations",
     "faults_injected", "fault_delays",

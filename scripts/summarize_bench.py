@@ -13,8 +13,7 @@ documentation in bench/bench_support.hpp):
                   "txns": ..., "ops_per_sec": ..., "accesses_per_sec": ...,
                   "abort_pct": ..., "serial_pct": ...,
                   "quiesce_waits": ..., "quiesce_spins": ...,
-                  "stm_read_dedup": ..., "htm_read_dedup": ...,
-                  "htm_rw_hits": ...}, ...],
+                  "htm_read_dedup": ..., "htm_rw_hits": ...}, ...],
      "baseline_prepr": {"htm_read_own_write_ops": ...,
                         "mlwt_large_read_set_ops": ..., "note": ...},
      "speedup_vs_prepr": {"htm_read_own_write": ...,
@@ -79,8 +78,7 @@ def summarize_tm_ops(path):
     for wl, cells in by_wl.items():
         parts = []
         for c in cells:
-            dedup = (c.get("stm_read_dedup", 0) + c.get("htm_read_dedup", 0)
-                     + c.get("htm_rw_hits", 0))
+            dedup = c.get("htm_read_dedup", 0) + c.get("htm_rw_hits", 0)
             tag = f"{c.get('mode', '?')}={c.get('ops_per_sec', 0):.3g}"
             if dedup:
                 tag += "*"  # dedup/index hits recorded for this cell

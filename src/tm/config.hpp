@@ -155,8 +155,12 @@ struct RuntimeConfig {
   }
 };
 
-/// The process-wide configuration (defined in runtime.cpp).
-RuntimeConfig& config() noexcept;
+namespace detail {
+inline constinit RuntimeConfig g_config;
+}
+
+/// The process-wide configuration.
+inline RuntimeConfig& config() noexcept { return detail::g_config; }
 
 /// Coherence check for a configuration about to be installed: returns
 /// nullptr when `cfg` is valid, else a static string naming the first

@@ -169,16 +169,8 @@ std::uint64_t stm_read(TxDesc& tx, const std::atomic<std::uint64_t>& cell) {
       spin_pause(spin++);
       continue;  // concurrent lock/release between our two orec loads
     }
-    // Repeat-read filter: a second read of an orec already logged with the
-    // SAME observed value adds no information — validation of the first
-    // entry covers it. A differing observation is still appended (superset
-    // validation), so abort outcomes are unchanged.
-    const std::uint32_t prior = tx.read_idx.find(&o);
-    if (prior != AddrIndex::kNone && tx.reads[prior].seen == ov) {
-      st(tx).bump(st(tx).stm_read_dedup);
-      return val;
-    }
-    tx.read_idx.insert(&o, static_cast<std::uint32_t>(tx.reads.size()));
+    // Every read is logged, repeats included, as libitm's ml_wt does: a
+    // repeat only lengthens the log that validation walks.
     tx.reads.push_back({&o, ov});
     return val;
   }
@@ -1156,20 +1148,8 @@ TxDesc& TxDesc::current() noexcept {
     d.backoff_rng.reseed(0x9E3779B9u ^ static_cast<unsigned>(d.slot_id));
     return d;
   }();
-  // A reused slot (thread exit + new thread) must rebind.
-  if (desc.slot_id != my_slot_id()) {
-    desc.slot_id = my_slot_id();
-    desc.slot = &slot_table()[desc.slot_id];
-    desc.stats = &desc.slot->stats;
-    // Reseed with a per-rebind salt: a fresh thread recycling a slot must
-    // not replay the previous occupant's backoff sequence, which would
-    // re-create exactly the lockstep contention backoff exists to break.
-    static std::atomic<std::uint64_t> rebind_salt{0};
-    const std::uint64_t salt = rebind_salt.fetch_add(
-        0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
-    desc.backoff_rng.reseed(salt ^ (0x9E3779B9u ^
-                                    static_cast<unsigned>(desc.slot_id)));
-  }
+  // The thread holds its slot for life (its lease gives the slot back only
+  // at thread exit), so this binding never goes stale.
   return desc;
 }
 

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "tm/config.hpp"
 #include "util/align.hpp"
 
 namespace tle {
@@ -69,12 +70,29 @@ constexpr std::uint64_t orec_abort_release(std::uint64_t prev) noexcept {
   return orec_make(orec_timestamp(prev), orec_incarnation(prev) + 1);
 }
 
-/// The global commit timestamp clock.
-std::atomic<std::uint64_t>& gclock() noexcept;
+namespace detail {
+struct alignas(kCacheLine) GlobalClock {
+  std::atomic<std::uint64_t> value{1};
+};
+inline constinit GlobalClock g_clock;
 
-/// The orec protecting `addr`. Consecutive words map to distinct orecs so
-/// adjacent fields of a node do not gratuitously conflict.
-std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept;
+/// The orec table. Static storage: 64K * 8 B = 512 KB, matching the order
+/// of libitm's table.
+inline constinit std::atomic<std::uint64_t> g_orecs[kOrecCount];
+}  // namespace detail
+
+/// The global commit timestamp clock.
+inline std::atomic<std::uint64_t>& gclock() noexcept {
+  return detail::g_clock.value;
+}
+
+/// The orec protecting `addr`. Word-granular mapping with a Fibonacci mix:
+/// consecutive words map to distinct orecs so adjacent fields of a node do
+/// not gratuitously conflict.
+inline std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
+  const std::uintptr_t word = reinterpret_cast<std::uintptr_t>(addr) >> 3;
+  return detail::g_orecs[(word * 0x9E3779B97F4A7C15ULL) >> (64 - kOrecBits)];
+}
 
 // ---------------------------------------------------------------------------
 // Simulated-HTM striped commit sequence
@@ -102,10 +120,28 @@ inline constexpr unsigned kHtmStripeMax = 64;
 /// handful of cache lines, the natural unit of a thread's working set).
 inline constexpr unsigned kHtmStripeBlockShift = 9;
 
-/// Stripe index for `addr` under the current htm_seq_stripes setting.
-unsigned htm_stripe_index(const void* addr) noexcept;
+namespace detail {
+/// One padded seqlock word per stripe, so disjoint-footprint committers
+/// never share a cache line.
+struct alignas(kCacheLine) HtmSeqStripe {
+  std::atomic<std::uint64_t> value{0};
+};
+inline constinit HtmSeqStripe g_htm_stripes[kHtmStripeMax];
+}  // namespace detail
+
+/// Stripe index for `addr` under the current htm_seq_stripes setting: the
+/// orec_for mix at block granularity, so addresses in one 512-byte block
+/// share a stripe and distinct blocks scatter uniformly (see above).
+inline unsigned htm_stripe_index(const void* addr) noexcept {
+  const std::uintptr_t block =
+      reinterpret_cast<std::uintptr_t>(addr) >> kHtmStripeBlockShift;
+  const std::uint64_t mixed = block * 0x9E3779B97F4A7C15ULL;
+  return static_cast<unsigned>(mixed >> 48) & (config().htm_seq_stripes - 1);
+}
 
 /// The sequence word of stripe `i` (i < config().htm_seq_stripes).
-std::atomic<std::uint64_t>& htm_stripe_seq(unsigned i) noexcept;
+inline std::atomic<std::uint64_t>& htm_stripe_seq(unsigned i) noexcept {
+  return detail::g_htm_stripes[i].value;
+}
 
 }  // namespace tle

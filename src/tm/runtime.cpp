@@ -1,42 +1,15 @@
-// Process-wide runtime state: configuration, the global clock, the orec
-// table, the simulated-HTM commit sequence, and statistics aggregation.
+// Runtime configuration checks, the name tables and statistics
+// aggregation. The process-wide objects themselves (configuration, global
+// clock, orec table, simulated-HTM commit sequence, serial lock) are inline
+// variables in the headers that declare their accessors.
 #include <cstdio>
 
 #include "tm/config.hpp"
 #include "tm/meta.hpp"
 #include "tm/obs/site.hpp"
-#include "tm/serial_lock.hpp"
 #include "tm/stats.hpp"
-#include "util/align.hpp"
 
 namespace tle {
-
-namespace {
-
-RuntimeConfig g_config;
-
-struct alignas(kCacheLine) GlobalClock {
-  std::atomic<std::uint64_t> value{1};
-};
-GlobalClock g_clock;
-
-// The striped simulated-HTM commit sequence. One padded seqlock word per
-// stripe so disjoint-footprint committers never share a cache line; the
-// live stripe count is config().htm_seq_stripes (<= kHtmStripeMax).
-struct alignas(kCacheLine) HtmSeqStripe {
-  std::atomic<std::uint64_t> value{0};
-};
-HtmSeqStripe g_htm_stripes[kHtmStripeMax];
-
-// The orec table. Static storage: 64K * 8 B = 512 KB, matching the order of
-// libitm's table.
-std::atomic<std::uint64_t> g_orecs[kOrecCount];
-
-SerialLock g_serial_lock;
-
-}  // namespace
-
-RuntimeConfig& config() noexcept { return g_config; }
 
 const char* validate_config(const RuntimeConfig& cfg) noexcept {
   if (cfg.htm_max_retries < 0) return "htm_max_retries must be >= 0";
@@ -52,38 +25,11 @@ const char* validate_config(const RuntimeConfig& cfg) noexcept {
 }
 
 void set_exec_mode(ExecMode mode) noexcept {
-  g_config.mode = mode;
-  g_config.quiesce = QuiescePolicy::Always;
-  g_config.honor_noquiesce = (mode == ExecMode::StmCondVarNoQ);
+  RuntimeConfig& cfg = config();
+  cfg.mode = mode;
+  cfg.quiesce = QuiescePolicy::Always;
+  cfg.honor_noquiesce = (mode == ExecMode::StmCondVarNoQ);
 }
-
-std::atomic<std::uint64_t>& gclock() noexcept { return g_clock.value; }
-
-std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
-  // Word-granular mapping with a Fibonacci mix so neighbouring fields hit
-  // different orecs.
-  const std::uintptr_t word = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-  const std::size_t idx =
-      (word * 0x9E3779B97F4A7C15ULL) >> (64 - kOrecBits);
-  return g_orecs[idx];
-}
-
-unsigned htm_stripe_index(const void* addr) noexcept {
-  // Block-granular orec_for-style Fibonacci mix: addresses in the same
-  // 512-byte block share a stripe, distinct blocks scatter uniformly. See
-  // the design note in meta.hpp — block granularity is what keeps a small
-  // contiguous write set on one or two stripes.
-  const std::uintptr_t block =
-      reinterpret_cast<std::uintptr_t>(addr) >> kHtmStripeBlockShift;
-  const std::uint64_t mixed = block * 0x9E3779B97F4A7C15ULL;
-  return static_cast<unsigned>(mixed >> 48) & (g_config.htm_seq_stripes - 1);
-}
-
-std::atomic<std::uint64_t>& htm_stripe_seq(unsigned i) noexcept {
-  return g_htm_stripes[i].value;
-}
-
-SerialLock& serial_lock() noexcept { return g_serial_lock; }
 
 // ---------------------------------------------------------------------------
 // Names
@@ -185,7 +131,7 @@ std::string StatsSnapshot::report() const {
       "deferred actions      %12llu\n"
       "condvar waits/timeouts%12llu / %llu\n"
       "htm retries           %12llu\n"
-      "read dedup stm/htm    %12llu / %llu (htm write-buffer hits %llu)\n"
+      "htm read dedup        %12llu (write-buffer hits %llu)\n"
       "faults inj/delays     %12llu / %llu (forced: serial %llu, flush "
       "%llu)\n"
       "gov dispositions      %12llu serial / %llu backoff / %llu immediate\n"
@@ -218,9 +164,8 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)tm_allocs, (unsigned long long)tm_frees,
       (unsigned long long)deferred_run, (unsigned long long)condvar_waits,
       (unsigned long long)condvar_timeouts, (unsigned long long)htm_retries,
-      (unsigned long long)stm_read_dedup, (unsigned long long)htm_read_dedup,
-      (unsigned long long)htm_rw_hits, (unsigned long long)faults_injected,
-      (unsigned long long)fault_delays,
+      (unsigned long long)htm_read_dedup, (unsigned long long)htm_rw_hits,
+      (unsigned long long)faults_injected, (unsigned long long)fault_delays,
       (unsigned long long)fault_forced_serial,
       (unsigned long long)fault_forced_flush,
       (unsigned long long)gov_serial_immediate,

@@ -260,7 +260,11 @@ class SerialLock {
   std::atomic<std::uint64_t> wr_held_since_{0};
 };
 
-/// The process-wide serial lock (defined in runtime.cpp).
-SerialLock& serial_lock() noexcept;
+namespace detail {
+inline constinit SerialLock g_serial_lock;
+}
+
+/// The process-wide serial lock.
+inline SerialLock& serial_lock() noexcept { return detail::g_serial_lock; }
 
 }  // namespace tle

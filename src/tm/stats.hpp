@@ -75,7 +75,6 @@ namespace tle {
   G(condvar_waits, "transactional condvar waits")                             \
   G(condvar_timeouts, "transactional condvar timed waits that expired")       \
   S(htm_retries, htm_retries, 5, "HTM re-attempts after an abort")            \
-  G(stm_read_dedup, "ml_wt repeat reads absorbed by the filter")              \
   G(htm_read_dedup, "HTM repeat reads served from the value log")             \
   G(htm_rw_hits, "HTM reads served from the write buffer")                    \
   S(stripe_bumps, stripe_bumps, 10,                                           \

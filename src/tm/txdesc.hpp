@@ -89,7 +89,7 @@ class LineTracker {
 
 /// Generation-stamped open-addressing map from an address (orec slot or
 /// tm_var cell) to a 32-bit log position. Backbone of the O(1) hot paths:
-/// HTM read-own-write, the read filters, and owned-orec validation all
+/// HTM read-own-write and read-own-read, and owned-orec validation, all
 /// consult one of these instead of scanning a log vector. Between
 /// transactions reset is O(1) — stale entries expire via the same
 /// generation trick as LineTracker, and the table is wiped only when the
@@ -275,14 +275,13 @@ struct TxDesc {
                                    ///< logical txn
   unsigned budget_used = 0;  ///< subset of `attempts` that consumed retry
                              ///< budget (drain waits are free — governor)
-  /// Unused; keeps the fields below at the cache-line offsets they were
-  /// measured at.
+  /// Unused; keeps `read_only` and the three STM logs below at the
+  /// cache-line offsets they were measured at.
   std::uint8_t layout_pad[5] = {};
   bool read_only = true;
   std::vector<ReadEntry> reads;
   std::vector<OwnedOrec> owned;
   std::vector<UndoEntry> undo;
-  AddrIndex read_idx;   ///< orec -> reads[] position (repeat-read filter)
   AddrIndex owned_idx;  ///< orec -> owned[] position (O(1) validation)
 
   // --- simulated HTM -------------------------------------------------------
@@ -389,7 +388,6 @@ struct TxDesc {
     undo.clear();
     hreads.clear();
     hwrites.clear();
-    read_idx.new_txn();
     owned_idx.new_txn();
     hread_idx.new_txn();
     hwrite_idx.new_txn();

@@ -52,15 +52,6 @@ constexpr int kRowRounds = 4;  // ...then kRowRounds reads of each
 constexpr int kLrsVars = 1024;  // large_read_set: distinct words per thread
 constexpr int kLrsRounds = 64;  // ...read rounds (65536 logged reads)
 
-// Pre-PR baselines for the two acceptance cells, measured on the seed engine
-// (commit 5325171) with this same harness at ABL_OVERHEAD_SECS=0.5 on the CI
-// container. They are machine-specific reference points: speedup_vs_prepr in
-// the JSON is meaningful on comparable hardware and is recorded here so the
-// perf trajectory starting at this PR has a fixed origin.
-constexpr double kPrePrHtmRowOps = 57208.0;  // HTM read_own_write txns/sec
-constexpr double kPrePrMlwtLargeReadOps =
-    796.0;  // StmCondVar large_read_set txns/sec
-
 std::atomic<std::uint64_t> g_check_failures{0};
 
 void check(bool ok, const char* what) {
@@ -240,7 +231,6 @@ void emit_json(const char* path, const std::vector<CellResult>& cells,
   j.kv("secs_per_cell", secs);
   j.key("results");
   j.begin_arr();
-  double htm_row = 0, mlwt_lrs = 0;
   for (const CellResult& c : cells) {
     j.begin_obj();
     j.kv("workload", c.workload.c_str());
@@ -259,28 +249,8 @@ void emit_json(const char* path, const std::vector<CellResult>& cells,
     j.kv("priv_immediate_frees", c.stats.priv_immediate_frees);
     j.kv("priv_limbo_routed", c.stats.priv_limbo_routed);
     j.end_obj();
-    if (c.workload == "read_own_write" && c.mode == ExecMode::Htm)
-      htm_row = c.ops_per_sec();
-    if (c.workload == "large_read_set" && c.mode == ExecMode::StmCondVar)
-      mlwt_lrs = c.ops_per_sec();
   }
   j.end_arr();
-  // The two acceptance cells of the hot-path overhaul PR, pinned against the
-  // pre-PR (seed) engine measured with this same harness.
-  j.key("baseline_prepr");
-  j.begin_obj();
-  j.kv("htm_read_own_write_ops", kPrePrHtmRowOps);
-  j.kv("mlwt_large_read_set_ops", kPrePrMlwtLargeReadOps);
-  j.kv("note",
-       "seed engine @5325171, ABL_OVERHEAD_SECS=0.5, single-core CI box");
-  j.end_obj();
-  j.key("speedup_vs_prepr");
-  j.begin_obj();
-  j.kv("htm_read_own_write",
-       kPrePrHtmRowOps > 0 ? htm_row / kPrePrHtmRowOps : 0.0);
-  j.kv("mlwt_large_read_set",
-       kPrePrMlwtLargeReadOps > 0 ? mlwt_lrs / kPrePrMlwtLargeReadOps : 0.0);
-  j.end_obj();
   j.end_obj();
 
   if (!j.write_file(path)) {

@@ -69,12 +69,7 @@ inline const char* mode_tag(ExecMode m) {
 //         "quiesce_waits": <uint>, "quiesce_spins": <uint>,
 //         "htm_read_dedup": <uint>,        // repeat HTM reads from value log
 //         "htm_rw_hits": <uint> },         // HTM reads from write buffer
-//       ... ],
-//     "baseline_prepr": {                  // pre-overhaul (seed) reference
-//       "htm_read_own_write_ops": <double>,
-//       "mlwt_large_read_set_ops": <double>, "note": <string> },
-//     "speedup_vs_prepr": {                // this run vs. that baseline
-//       "htm_read_own_write": <double>, "mlwt_large_read_set": <double> }
+//       ... ]
 //   }
 
 /// Minimal JSON emitter for the bench artifacts above. Handles commas and

@@ -31,12 +31,7 @@
 //         "parked_waits": <uint>,          // 0 on pre-grace engines
 //         "grace_scans": <uint>, "grace_shared": <uint>,
 //         "limbo_enqueued": <uint>, "limbo_drained": <uint>,
-//         "tm_frees": <uint> }, ... ],
-//     "baseline_prepr": {                  // pre-overhaul engine reference
-//       "always_free_8t_ops": <double>, "always_none_1t_ops": <double>,
-//       "note": <string> },
-//     "speedup_vs_prepr": {                // this run vs. that baseline
-//       "always_free_8t": <double>, "always_none_1t": <double> }
+//         "tm_frees": <uint> }, ... ]
 //   }
 #include <atomic>
 #include <cstdio>
@@ -81,13 +76,6 @@ constexpr int kMaxBenchThreads = 32;
 constexpr int kStragglerIters = 100000;
 constexpr std::uint32_t kWriterDomain = 0;
 constexpr std::uint32_t kStragglerDomain = 1;
-
-// Pre-PR baselines for the two acceptance cells, measured on the seed+PR1
-// engine (commit 075b074) with this same harness (QUIESCE_SCALE_SECS=0.5) on
-// the single-core CI container. Machine-specific reference points, recorded
-// so the quiescence perf trajectory starting at this PR has a fixed origin.
-constexpr double kPrePrAlwaysFree8T = 5517.0;    // Always, heavy frees, 8 thr
-constexpr double kPrePrAlwaysNone1T = 404603.0;  // Always, no frees, 1 thread
 
 std::atomic<std::uint64_t> g_check_failures{0};
 
@@ -251,7 +239,6 @@ void emit_json(const char* path, const std::vector<CellResult>& cells,
   j.kv("secs_per_cell", secs);
   j.key("results");
   j.begin_arr();
-  double always_free_8t = 0, always_none_1t = 0;
   for (const CellResult& c : cells) {
     j.begin_obj();
     j.kv("policy", c.policy.c_str());
@@ -270,27 +257,8 @@ void emit_json(const char* path, const std::vector<CellResult>& cells,
     j.kv("limbo_drained", c.stats.limbo_drained);
     j.kv("tm_frees", c.stats.tm_frees);
     j.end_obj();
-    if (c.policy == "Always" && c.frees && c.threads == 8)
-      always_free_8t = c.commits_per_sec();
-    if (c.policy == "Always" && !c.frees && c.threads == 1)
-      always_none_1t = c.commits_per_sec();
   }
   j.end_arr();
-  j.key("baseline_prepr");
-  j.begin_obj();
-  j.kv("always_free_8t_ops", kPrePrAlwaysFree8T);
-  j.kv("always_none_1t_ops", kPrePrAlwaysNone1T);
-  j.kv("note",
-       "pre-grace engine @075b074, QUIESCE_SCALE_SECS=0.5, single-core CI "
-       "box");
-  j.end_obj();
-  j.key("speedup_vs_prepr");
-  j.begin_obj();
-  j.kv("always_free_8t",
-       kPrePrAlwaysFree8T > 0 ? always_free_8t / kPrePrAlwaysFree8T : 0.0);
-  j.kv("always_none_1t",
-       kPrePrAlwaysNone1T > 0 ? always_none_1t / kPrePrAlwaysNone1T : 0.0);
-  j.end_obj();
   j.end_obj();
 
   if (!j.write_file(path)) {

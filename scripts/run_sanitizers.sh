@@ -11,10 +11,11 @@
 # polled by a concurrent aggregator), the contention governor (drain waits
 # under racing serial writers), and the striped commit sequence (per-stripe
 # seqlock acquisition/release ordering). The ASan half also runs the codec
-# suites (index arithmetic of the BWT rotation sort, the decoder's bounds on
-# malformed blocks), which are single-threaded, so TSan skips them; and the
-# video encoder suites (the block kernels' reads at the edges of frames whose
-# sides are not multiples of the block size).
+# suites (index arithmetic of the BWT rotation sort and its settled-group
+# jumps, the Huffman table lookups, the slicing-by-8 CRC, the decoder's
+# bounds on malformed blocks), which are single-threaded, so TSan skips
+# them; and the video encoder suites (the block kernels' reads at the edges
+# of frames whose sides are not multiples of the block size).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period. A
@@ -42,7 +43,8 @@ suite_extra() {
   esac
 }
 SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test tm_stripe_test"
-# Codec suites, built from the codec sources instead of the TM core.
+# Codec suites, built from the codec sources and the benchmark corpus
+# (src/pipez/corpus.cpp) instead of the TM core.
 CODEC_SUITES="bzip_test bzip_fuzz_test"
 # Video encoder suites: the TM core, the condition variable, the codec's bit
 # I/O and the encoder itself.
@@ -81,7 +83,7 @@ run_preset() {
   # them from running.
   if [ "$name" = asan ]; then
     for test in $CODEC_SUITES; do
-      build_run "$test" "$name" "$flags" src/bzip/*.cpp
+      build_run "$test" "$name" "$flags" src/bzip/*.cpp src/pipez/corpus.cpp
     done
     for test in $VIDENC_SUITES; do
       # shellcheck disable=SC2086

@@ -13,11 +13,7 @@ documentation in bench/bench_support.hpp):
                   "txns": ..., "ops_per_sec": ..., "accesses_per_sec": ...,
                   "abort_pct": ..., "serial_pct": ...,
                   "quiesce_waits": ..., "quiesce_spins": ...,
-                  "htm_read_dedup": ..., "htm_rw_hits": ...}, ...],
-     "baseline_prepr": {"htm_read_own_write_ops": ...,
-                        "mlwt_large_read_set_ops": ..., "note": ...},
-     "speedup_vs_prepr": {"htm_read_own_write": ...,
-                          "mlwt_large_read_set": ...}}
+                  "htm_read_dedup": ..., "htm_rw_hits": ...}, ...]}
 
 The JSON file is looked for next to the benchmark output (same directory),
 or passed explicitly as a second argument."""
@@ -90,13 +86,6 @@ def summarize_tm_ops(path):
     if routed or immediate:
         print(f"  routed frees: {routed} via limbo (HTM readers in flight), "
               f"{immediate} immediate")
-    sp = doc.get("speedup_vs_prepr", {})
-    base = doc.get("baseline_prepr", {})
-    if sp:
-        print("  speedup vs pre-overhaul engine "
-              f"({base.get('note', 'no baseline note')}):")
-        for k, v in sp.items():
-            print(f"    {k:24s} {v:.2f}x")
 
 
 def summarize_quiesce(path):
@@ -127,13 +116,6 @@ def summarize_quiesce(path):
         if shared or limbo:
             tag += f"   (grace_shared={shared:.0f} limbo_enq={limbo:.0f})"
         print(tag)
-    sp = doc.get("speedup_vs_prepr", {})
-    base = doc.get("baseline_prepr", {})
-    if sp:
-        print("  speedup vs per-commit-quiesce engine "
-              f"({base.get('note', 'no baseline note')}):")
-        for k, v in sp.items():
-            print(f"    {k:24s} {v:.2f}x")
 
 
 def summarize_governor(path):

@@ -59,6 +59,23 @@ class BitReader {
     return get(1, &v) ? static_cast<int>(v) : -1;
   }
 
+  /// The next `nbits` bits (nbits in [1, 32]) without consuming them; bits
+  /// past the end of the data read as zeros.
+  std::uint32_t peek(unsigned nbits) {
+    while (fill_ <= 56 && pos_ < size_) {
+      acc_ = (acc_ << 8) | data_[pos_++];
+      fill_ += 8;
+    }
+    const std::uint64_t bits =
+        fill_ >= nbits ? acc_ >> (fill_ - nbits) : acc_ << (nbits - fill_);
+    return static_cast<std::uint32_t>(bits & ((1ULL << nbits) - 1));
+  }
+
+  /// Consume `nbits` bits of the last peek; nbits <= bits_left().
+  void skip(unsigned nbits) noexcept { fill_ -= nbits; }
+
+  std::size_t bits_left() const noexcept { return (size_ - pos_) * 8 + fill_; }
+
   std::size_t bits_consumed() const noexcept { return pos_ * 8 - fill_; }
 
  private:

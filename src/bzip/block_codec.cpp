@@ -1,5 +1,6 @@
 #include "bzip/block_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "bzip/bitio.hpp"
@@ -96,8 +97,11 @@ DecodeResult decompress_block(const std::uint8_t* data, std::size_t n) {
     return r;
   }
 
+  // Every symbol takes at least one bit, so the payload bounds the stream
+  // whatever size the header declares.
   std::vector<std::uint16_t> symbols;
-  symbols.reserve(rle1_size + 16);
+  symbols.reserve(std::min<std::size_t>(std::size_t{rle1_size} + 16,
+                                        br.bits_left()));
   for (;;) {
     const int s = dec.decode(br);
     if (s < 0) {
@@ -113,7 +117,6 @@ DecodeResult decompress_block(const std::uint8_t* data, std::size_t n) {
   }
 
   std::vector<std::uint8_t> mtf;
-  mtf.reserve(rle1_size);
   if (!zrle_decode(symbols.data(), symbols.size(), rle1_size, &mtf)) {
     r.error = "malformed run-length stream";
     return r;

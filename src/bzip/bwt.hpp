@@ -14,7 +14,9 @@ struct BwtResult {
 /// Forward transform: the rotations in cyclic lexicographic order, equal
 /// rotations by ascending start index. O(n log n): a two-byte bucket sort,
 /// then Manber–Myers prefix doubling, each round one stable counting pass
-/// whose second-key order comes from the previous round's order.
+/// whose second-key order comes from the previous round's order. A rotation
+/// alone in its group is settled and skipped from then on, and a round that
+/// splits no group ends the doubling.
 BwtResult bwt_forward(const std::uint8_t* data, std::size_t n);
 
 /// Inverse transform.

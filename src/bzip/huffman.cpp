@@ -91,6 +91,7 @@ std::vector<std::uint32_t> canonical_codes(
 }
 
 bool HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
+  if (lengths.size() > 1u << 12) return false;  // a table entry's 12-bit symbol
   std::fill(std::begin(count_), std::end(count_), 0u);
   for (auto l : lengths) {
     if (l > kMaxCodeLen) return false;
@@ -117,10 +118,22 @@ bool HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
   for (std::size_t s = 0; s < lengths.size(); ++s)
     if (lengths[s])
       sorted_symbols_[pos[lengths[s]]++] = static_cast<std::uint16_t>(s);
+
+  // Each code of l <= kTableBits bits fills the 2^(kTableBits - l) windows
+  // that start with it.
+  std::fill(std::begin(table_), std::end(table_), std::uint16_t{0});
+  for (unsigned l = 1; l <= kTableBits; ++l)
+    for (std::uint32_t k = 0; k < count_[l]; ++k) {
+      const std::uint32_t lo = (first_code_[l] + k) << (kTableBits - l);
+      const std::uint32_t hi = lo + (1u << (kTableBits - l));
+      const auto entry =
+          static_cast<std::uint16_t>(sorted_symbols_[offset_[l] + k] << 4 | l);
+      std::fill(table_ + lo, table_ + hi, entry);
+    }
   return !sorted_symbols_.empty();
 }
 
-int HuffmanDecoder::decode(BitReader& in) const {
+int HuffmanDecoder::decode_walk(BitReader& in) const {
   std::uint32_t code = 0;
   for (unsigned l = 1; l <= kMaxCodeLen; ++l) {
     const int bit = in.get_bit();

@@ -121,21 +121,20 @@ std::vector<std::uint16_t> zrle_encode(const std::uint8_t* mtf, std::size_t n) {
   return out;
 }
 
-bool zrle_decode(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
-                 std::vector<std::uint8_t>* out) {
+namespace {
+/// Walk a ZRLE stream, calling emit(byte, count) for each literal and zero
+/// run. Returns false on a malformed stream, before emitting anything past
+/// `limit` bytes.
+template <class Emit>
+bool zrle_walk(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
+               Emit&& emit) {
   std::size_t room = limit;  // bytes the stream may still produce
   std::size_t run = 0;
   std::size_t mult = 1;
-  auto flush_run = [&] {
-    out->insert(out->end(), run, std::uint8_t{0});
-    room -= run;
-    run = 0;
-    mult = 1;
-  };
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t s = symbols[i];
     if (s == kRunA || s == kRunB) {
-      // A run stops at the limit before anything is allocated for it.
+      // A run stops at the limit before anything is emitted for it.
       // mult <= run + 1 <= room + 1, so the digit cannot overflow.
       const std::size_t digit = s == kRunA ? mult : 2 * mult;
       if (digit > room - run) return false;
@@ -143,13 +142,35 @@ bool zrle_decode(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
       mult *= 2;
       continue;
     }
-    flush_run();
+    if (run > 0) emit(std::uint8_t{0}, run);
+    room -= run;
+    run = 0;
+    mult = 1;
     if (s == kEob) return i + 1 == n;  // EOB must be the final symbol
     if (s > 256 || room == 0) return false;
-    out->push_back(static_cast<std::uint8_t>(s - 1));
+    emit(static_cast<std::uint8_t>(s - 1), std::size_t{1});
     --room;
   }
   return false;  // missing EOB
+}
+}  // namespace
+
+bool zrle_decode(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
+                 std::vector<std::uint8_t>* out) {
+  // Size the output from the stream first, so that what is allocated is what
+  // the stream decodes to, whatever `limit` a block declares.
+  std::size_t total = 0;
+  if (!zrle_walk(symbols, n, limit,
+                 [&](std::uint8_t, std::size_t count) { total += count; }))
+    return false;
+  const std::size_t base = out->size();
+  out->resize(base + total);  // zero-filled: the runs are already in place
+  std::uint8_t* dst = out->data() + base;
+  zrle_walk(symbols, n, limit, [&](std::uint8_t b, std::size_t count) {
+    *dst = b;
+    dst += count;
+  });
+  return true;
 }
 
 }  // namespace tle::bzip

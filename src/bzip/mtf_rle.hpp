@@ -36,8 +36,8 @@ inline constexpr std::size_t kSymbolAlphabet = 258;
 std::vector<std::uint16_t> zrle_encode(const std::uint8_t* mtf, std::size_t n);
 
 /// ZRLE symbols (must end in EOB) -> MTF bytes, appended to *out. Returns
-/// false on a malformed stream, including one that would decode to more than
-/// `limit` bytes (the block's declared size).
+/// false, leaving *out as it was, on a malformed stream, including one that
+/// would decode to more than `limit` bytes (the block's declared size).
 bool zrle_decode(const std::uint16_t* symbols, std::size_t n, std::size_t limit,
                  std::vector<std::uint8_t>* out);
 

@@ -9,7 +9,6 @@
 #include "sync/bounded_queue.hpp"
 #include "sync/tx_condvar.hpp"
 #include "tm/api.hpp"
-#include "util/rng.hpp"
 #include "util/timing.hpp"
 
 namespace tle::pipez {
@@ -271,29 +270,6 @@ DecompressResult decompress(const std::vector<std::uint8_t>& stream,
     stats->seconds = sw.seconds();
   }
   return res;
-}
-
-std::vector<std::uint8_t> make_corpus(std::size_t bytes, std::uint64_t seed) {
-  static const char* words[] = {
-      "the ",    "quick ",  "brown ",   "fox ",    "jumps ",   "over ",
-      "a ",      "lazy ",   "dog ",     "stream ", "cipher ",  "block ",
-      "lock ",   "elide ",  "commit ",  "abort ",  "quiesce ", "thread ",
-      "encode ", "decode ", "pipeline "};
-  constexpr std::size_t kWords = sizeof(words) / sizeof(words[0]);
-  Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> out;
-  out.reserve(bytes + 32);
-  while (out.size() < bytes) {
-    const char* w = words[rng.below(kWords)];
-    out.insert(out.end(), w, w + std::strlen(w));
-    if (rng.chance(0.03)) out.push_back('\n');
-    if (rng.chance(0.01)) {
-      // Occasional binary noise keeps the codec honest.
-      out.push_back(static_cast<std::uint8_t>(rng()));
-    }
-  }
-  out.resize(bytes);
-  return out;
 }
 
 std::vector<std::string> drain_log() {

@@ -3,7 +3,9 @@
 #include <semaphore.h>
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cerrno>
 #include <deque>
 #include <mutex>
@@ -145,10 +147,16 @@ struct tx_condvar::Impl {
   }
 
   void signal_all() {
-    std::deque<WaitSlot*> grabbed;
+    // Each thread waits on one condvar at a time, so at most kMaxThreads
+    // waiters: a stack array holds them, and notify_all allocates nothing.
+    WaitSlot* grabbed[kMaxThreads];
+    std::size_t count = 0;
     {
       std::lock_guard<std::mutex> g(m);
-      grabbed.swap(waiters);
+      count = waiters.size();
+      assert(count <= kMaxThreads);
+      std::copy(waiters.begin(), waiters.end(), grabbed);
+      waiters.clear();
       // Re-bank exactly one signal per committed-but-not-yet-enqueued
       // waiter (every such waiter is counted by bank_limit_locked, and any
       // previously banked signal was for a waiter still in that set — so
@@ -156,7 +164,7 @@ struct tx_condvar::Impl {
       // with nobody in flight banks nothing.
       pending = bank_limit_locked();
     }
-    for (WaitSlot* s : grabbed) sem_post(&s->sem);
+    for (std::size_t i = 0; i < count; ++i) sem_post(&grabbed[i]->sem);
   }
 };
 

@@ -1,7 +1,9 @@
 // Adversarial/structured-input property tests for the bzip codec: inputs
 // chosen to stress each pipeline stage's edge behaviour.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdlib>
 #include <numeric>
 
 #include "bzip/bitio.hpp"
@@ -135,6 +137,41 @@ TEST(BzipFuzz, ZeroRunPastDeclaredSizeRejected) {
   const auto dec = decompress_block(block);
   EXPECT_FALSE(dec.ok);
   EXPECT_EQ(dec.error, "malformed run-length stream");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Decode `block` with the address space limited to 1 GiB; exit 0 if the
+/// decoder reports the size mismatch, 1 on any other result.
+[[noreturn]] void decode_in_1gib(const std::vector<std::uint8_t>& block) {
+  const rlimit lim{1ul << 30, 1ul << 30};
+  setrlimit(RLIMIT_AS, &lim);
+  const auto dec = decompress_block(block);
+  std::exit(!dec.ok && dec.error == "size mismatch after ZRLE" ? 0 : 1);
+}
+
+TEST(BzipFuzz, DeclaredSizeReservesNothingThePayloadCannotHold) {
+  // A 3 KB block whose header declares an RLE1 size near 4 GiB. The decoder
+  // must size its buffers from the payload and report the mismatch; under a
+  // 1 GiB address-space limit, reserving the declared size throws
+  // std::bad_alloc and kills the child instead.
+  if (kSanitized)
+    GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space limit";
+  Xoshiro256 rng(4);
+  std::vector<std::uint8_t> in(3000);
+  for (auto& b : in) b = static_cast<std::uint8_t>(rng());
+  const auto comp = compress_block(in);
+  for (std::uint32_t declared : {0xFFFFFFFFu, 0xFFFFFFEFu, 0x80000000u}) {
+    auto bad = comp;
+    for (int b = 0; b < 4; ++b)  // the RLE1 size, the fourth header word
+      bad[12 + b] = static_cast<std::uint8_t>(declared >> (8 * b));
+    EXPECT_EXIT(decode_in_1gib(bad), ::testing::ExitedWithCode(0), "")
+        << "declared RLE1 size " << declared;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "bzip/crc32.hpp"
 #include "bzip/huffman.hpp"
 #include "bzip/mtf_rle.hpp"
+#include "pipez/pipeline.hpp"
 #include "util/rng.hpp"
 
 namespace tle::bzip {
@@ -80,6 +81,38 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(a.data(), 1), 0xE8B7BE43u);
 }
 
+/// The CRC by its definition: the reflected polynomial, one bit at a time.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t n,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseDefinition) {
+  // Lengths 0-64 cover the eight-byte steps and every tail; the start
+  // offsets cover every alignment of the eight-byte loads.
+  Xoshiro256 rng(21);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t n = 0; n <= 64; ++n) {
+      const std::uint8_t* p = buf.data() + off;
+      const std::uint32_t want = bitwise_crc32(p, n, 0);
+      ASSERT_EQ(crc32(p, n), want) << "offset " << off << " length " << n;
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(crc32(p, n, seed), bitwise_crc32(p, n, seed))
+          << "offset " << off << " length " << n << " seed " << seed;
+      // Chained: the CRC of a prefix seeds the CRC of the rest.
+      for (std::size_t cut = 0; cut <= n; ++cut)
+        ASSERT_EQ(crc32(p + cut, n - cut, crc32(p, cut)), want)
+            << "offset " << off << " length " << n << " cut " << cut;
+    }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   auto v = bytes("the quick brown fox");
   const auto base = crc32(v.data(), v.size());
@@ -132,15 +165,14 @@ TEST(Bwt, EdgeCases) {
 /// indices sorted by cyclic comparison, equal rotations by start index.
 BwtResult reference_bwt(const std::vector<std::uint8_t>& in) {
   const std::size_t n = in.size();
+  std::vector<std::uint8_t> twice(in);  // rotation a is twice[a, a + n)
+  twice.insert(twice.end(), in.begin(), in.end());
   std::vector<std::uint32_t> rotations(n);
   std::iota(rotations.begin(), rotations.end(), 0u);
   std::sort(rotations.begin(), rotations.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              for (std::size_t k = 0; k < n; ++k) {
-                const std::uint8_t x = in[(a + k) % n], y = in[(b + k) % n];
-                if (x != y) return x < y;
-              }
-              return a < b;
+              const int c = std::memcmp(twice.data() + a, twice.data() + b, n);
+              return c != 0 ? c < 0 : a < b;
             });
   BwtResult r;
   for (std::size_t j = 0; j < n; ++j) {
@@ -191,6 +223,27 @@ TEST(Bwt, MatchesReferenceRotationSort) {
   for (std::size_t i = 0; i < periodic.size(); ++i)
     periodic[i] = "aab"[i % 3];
   expect_reference(periodic, "period 3 n=600");
+  // Groups that settle at different rounds, or never: random text with a
+  // periodic island settles outside the island first; blocks of period 3
+  // to 7 hold equal rotations when the period divides n (1260 = 4*5*7*9)
+  // and rotations that agree up to the block's seam when it does not.
+  for (std::size_t period : {2u, 3u, 5u}) {
+    auto text = random_bytes(3000, 256);
+    for (std::size_t i = 1000 + period; i < 2000; ++i)
+      text[i] = text[i - period];
+    expect_reference(text, "random text, island of period " +
+                               std::to_string(period));
+  }
+  for (std::size_t period = 3; period <= 7; ++period)
+    for (std::size_t n : {1259u, 1260u, 1261u})
+      for (std::uint64_t alphabet : {2, 256}) {
+        const auto unit = random_bytes(period, alphabet);
+        std::vector<std::uint8_t> in(n);
+        for (std::size_t i = 0; i < n; ++i) in[i] = unit[i % period];
+        expect_reference(in, "period " + std::to_string(period) + "/" +
+                                 std::to_string(alphabet) +
+                                 " n=" + std::to_string(n));
+      }
 }
 
 TEST(Bwt, RandomRoundTripProperty) {
@@ -391,6 +444,70 @@ TEST(Huffman, EncodeDecodeRandomStream) {
     ASSERT_EQ(dec.decode(r), stream[i]) << "symbol " << i;
 }
 
+TEST(Huffman, TablePathMatchesCanonicalWalk) {
+  // decode() looks codes of up to kTableBits bits up in its table and walks
+  // the rest bit by bit; both must give what the walk alone gives, on code
+  // lengths from 1 up to kMaxCodeLen, on incomplete codes (bits no code
+  // starts with), and on a stream cut at every bit.
+  std::vector<std::vector<std::uint8_t>> codes;
+  std::vector<std::uint8_t> chain;  // one code of each length, complete
+  for (unsigned l = 1; l <= kMaxCodeLen; ++l)
+    chain.push_back(static_cast<std::uint8_t>(l));
+  chain.push_back(kMaxCodeLen);
+  codes.push_back(chain);
+  Xoshiro256 rng(17);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Random lengths from the table width up, kept while they fit.
+    std::vector<std::uint8_t> lengths;
+    std::uint64_t kraft = 0;
+    for (int k = 0; k < 400; ++k) {
+      const auto l = static_cast<unsigned>(
+          HuffmanDecoder::kTableBits - 2 +
+          rng.below(kMaxCodeLen - HuffmanDecoder::kTableBits + 3));
+      const std::uint64_t w = 1ULL << (kMaxCodeLen - l);
+      if (kraft + w > (1ULL << kMaxCodeLen)) continue;
+      kraft += w;
+      lengths.push_back(static_cast<std::uint8_t>(l));
+    }
+    codes.push_back(lengths);
+  }
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    const auto& lengths = codes[c];
+    HuffmanDecoder dec;
+    ASSERT_TRUE(dec.init(lengths)) << "code " << c;
+    const auto canon = canonical_codes(lengths);
+    std::vector<std::uint16_t> stream(120);
+    for (auto& s : stream)
+      s = static_cast<std::uint16_t>(rng.below(lengths.size()));
+    BitWriter w;
+    std::size_t bits = 0;
+    for (auto s : stream) {
+      w.put(canon[s], lengths[s]);
+      bits += lengths[s];
+    }
+    const auto full = w.finish();
+    {
+      BitReader r(full.data(), full.size());
+      for (std::size_t i = 0; i < stream.size(); ++i)
+        ASSERT_EQ(dec.decode(r), stream[i]) << "code " << c << " symbol " << i;
+    }
+    for (std::size_t cut = 0; cut <= bits; ++cut) {
+      // The first `cut` bits, zero-padded to a byte.
+      std::vector<std::uint8_t> part(
+          full.begin(), full.begin() + static_cast<std::ptrdiff_t>((cut + 7) / 8));
+      if (cut % 8)
+        part.back() &= static_cast<std::uint8_t>(0xFF00 >> (cut % 8));
+      BitReader table(part.data(), part.size()), walk(part.data(), part.size());
+      for (std::size_t i = 0; i <= stream.size(); ++i) {
+        const int want = dec.decode_walk(walk);
+        ASSERT_EQ(dec.decode(table), want)
+            << "code " << c << " cut " << cut << " symbol " << i;
+        if (want < 0) break;
+      }
+    }
+  }
+}
+
 TEST(Huffman, DecoderRejectsOvercompleteCode) {
   std::vector<std::uint8_t> lens = {1, 1, 1};  // Kraft sum 1.5 > 1
   HuffmanDecoder dec;
@@ -493,6 +610,16 @@ TEST(BlockCodec, DetectsTruncation) {
   }
   const auto dec = decompress_block(comp.data(), comp.size() - 5);
   EXPECT_FALSE(dec.ok);
+}
+
+TEST(BlockCodec, CorpusStreamIsPinned) {
+  // The block format's bytes, not only its round trip: a stage change that
+  // alters the stream (the order of equal rotations, a code length) changes
+  // this size or CRC. A faster stage must reproduce both.
+  const auto in = pipez::make_corpus(1u << 20, 1);
+  const auto comp = compress_block(in);
+  EXPECT_EQ(comp.size(), 143634u);
+  EXPECT_EQ(crc32(comp.data(), comp.size()), 0x9FACE9EDu);
 }
 
 TEST(BlockCodec, RejectsGarbageInput) {
